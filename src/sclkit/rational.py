@@ -1,15 +1,16 @@
 """Exact rational scalars.
 
-Uses gmpy2.mpq when available and falls back to fractions.Fraction.
-Both keep values in lowest terms with a positive denominator and expose
-.numerator / .denominator, which is all the rest of the package needs.
+Uses gmpy2.mpq when it is installed (an optional extra) and
+fractions.Fraction otherwise.  Both keep values in lowest terms with a
+positive denominator and expose .numerator / .denominator, which is all
+the rest of the package needs.
 """
 
 import math
 
 try:
     from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional; Fraction needs nothing installed
     from fractions import Fraction as QQ
 
 ZERO = QQ(0)

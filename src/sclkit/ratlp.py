@@ -4,10 +4,24 @@ Solves min c.x subject to A x = b, x >= 0 with every entry an exact
 rational, via a two-phase simplex.  Pivoting is Dantzig's rule with a
 fallback to Bland's least-index rule after a run of degenerate pivots,
 which keeps the exact-arithmetic termination guarantee without Bland's
-stalling.  The result carries a primal vertex and a dual vector; verify()
-checks optimality by strong duality without trusting solver internals.
+stalling.  The result carries a primal vertex and a dual vector.
+
+The tableau does integer arithmetic only: each row, and the cost row, is
+a dict of integer numerators over one shared positive denominator, kept
+in the spirit of fraction-free elimination (Bareiss 1968).  A pivot row
+is divided by its pivot entry and reduced by the gcd of its entries;
+every other row r becomes (r * mul - k * pivot row) / (den * mul) with
+mul = D / gcd(f, D) for the pivot row's denominator D and the row's own
+entry f, so a row is rescaled and gcd-reduced only when mul > 1.  Ratio
+tests compare by cross-multiplication.  Rationals (QQ) appear only at the
+boundary: the input is read through .numerator / .denominator and the
+vertex and duals are built as QQ.
+
+verify() is independent of all this: it checks a claimed optimum by
+strong duality in QQ arithmetic without trusting solver internals.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
@@ -68,20 +82,54 @@ def linear_program(num_vars, rows, rhs, objective):
                          tuple(qq(v) for v in objective))
 
 
-def _axpy(target, factor, source, skip=None):
-    """target -= factor * source for sparse dict rows."""
-    for col, v in source.items():
-        if col == skip:
-            continue
-        new = target.get(col, ZERO) - factor * v
-        if new == 0:
-            target.pop(col, None)
+def _reduce(row, rhs, den):
+    """Divide row, rhs and den by their gcd; returns the new (rhs, den)."""
+    g = math.gcd(den, rhs, *row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
+        rhs //= g
+        den //= g
+    return rhs, den
+
+
+def _combine(row, rhs, den, mul, k, src, src_rhs):
+    """(row, rhs) / den  <-  (row*mul - k*src, rhs*mul - k*src_rhs) / (den*mul).
+
+    row is updated in place (zeros dropped); when mul > 1 the whole row
+    is rescaled first and gcd-reduced after.  Returns the new (rhs, den).
+    """
+    if mul != 1:
+        for c in row:
+            row[c] *= mul
+        rhs *= mul
+        den *= mul
+    for c, v in src.items():
+        new = row.get(c, 0) - k * v
+        if new:
+            row[c] = new
         else:
-            target[col] = new
+            del row[c]
+    rhs -= k * src_rhs
+    if mul != 1:
+        rhs, den = _reduce(row, rhs, den)
+    return rhs, den
+
+
+def _sub_rational(row, rhs, den, p, q, src, src_rhs, src_den):
+    """row/den -= (p/q) * src/src_den for integers p and q > 0; see _combine."""
+    e = q * src_den
+    h = math.gcd(den * p, e)
+    return _combine(row, rhs, den, e // h, den * p // h, src, src_rhs)
 
 
 class _Tableau:
-    """Sparse simplex dictionary with artificial columns kept for duals."""
+    """Integer-row simplex dictionary with artificial columns kept for duals.
+
+    Row i holds the values rows[i][c] / den[i] and rhs[i] / den[i]; the
+    cost row holds cost[c] / cost_den.  Every denominator is positive, so
+    signs and comparisons within a row are those of the numerators.
+    """
 
     def __init__(self, lp, max_pivots):
         self.lp = lp
@@ -90,17 +138,23 @@ class _Tableau:
         self.max_pivots = max_pivots
         self.pivots = 0
         self.signs = []
-        self.rows = []  # list of dict col -> value (cols may include artificials)
+        self.rows = []  # list of dict col -> numerator (cols may include artificials)
         self.rhs = []
+        self.den = []
         self.basis = []  # basis[i] = column basic in row i
         self.dead = [False] * self.m  # redundant rows dropped after phase 1
         for i, row in enumerate(lp.rows):
             sign = 1 if lp.rhs[i] >= 0 else -1
             self.signs.append(sign)
-            d = {col: sign * v for col, v in row}
-            d[self.n + i] = qq(1)  # artificial column
+            b = lp.rhs[i]
+            den = math.lcm(int(b.denominator),
+                           *(int(v.denominator) for _, v in row))
+            d = {col: sign * int(v.numerator) * (den // int(v.denominator))
+                 for col, v in row}
+            d[self.n + i] = den  # artificial column
             self.rows.append(d)
-            self.rhs.append(sign * lp.rhs[i])
+            self.rhs.append(sign * int(b.numerator) * (den // int(b.denominator)))
+            self.den.append(den)
             self.basis.append(self.n + i)
 
     def pivot(self, r, col):
@@ -108,26 +162,28 @@ class _Tableau:
         if self.pivots > self.max_pivots:
             raise ResourceLimitError("pivot cap exceeded (%d)" % self.max_pivots)
         row = self.rows[r]
-        inv = 1 / row[col]
-        if inv != 1:
+        if row[col] < 0:
             for c in row:
-                row[c] *= inv
-            self.rhs[r] *= inv
-        row[col] = qq(1)
+                row[c] = -row[c]
+            self.rhs[r] = -self.rhs[r]
+        # dividing by the pivot entry makes it the denominator
+        b, p = _reduce(row, self.rhs[r], row[col])
+        self.rhs[r], self.den[r] = b, p
         for i in range(self.m):
             if i == r or self.dead[i]:
                 continue
             other = self.rows[i]
-            factor = other.get(col)
-            if factor is None or factor == 0:
+            f = other.get(col)
+            if f is None:
                 continue
-            _axpy(other, factor, row, skip=col)
-            other.pop(col, None)
-            self.rhs[i] -= factor * self.rhs[r]
-        factor = self.cost.get(col)
-        if factor is not None and factor != 0:
-            _axpy(self.cost, factor, row, skip=col)
-            self.cost.pop(col, None)
+            g = math.gcd(f, p)
+            self.rhs[i], self.den[i] = _combine(
+                other, self.rhs[i], self.den[i], p // g, f // g, row, b)
+        f = self.cost.get(col)
+        if f is not None:
+            g = math.gcd(f, p)
+            _, self.cost_den = _combine(
+                self.cost, 0, self.cost_den, p // g, f // g, row, 0)
         self.basis[r] = col
 
     def run(self):
@@ -141,7 +197,8 @@ class _Tableau:
         keeps exact-arithmetic termination while avoiding Bland's stalls.
         Artificial columns never re-enter the basis; basic columns always
         have zero reduced cost, so eligibility is just col < num_vars.
-        Returns "optimal" or "unbounded".
+        Ties go to the lower column, and in the ratio test to the row
+        whose basic column is lower.  Returns "optimal" or "unbounded".
         """
         stall = 0
         while True:
@@ -161,22 +218,26 @@ class _Tableau:
                         entering = col
             if entering is None:
                 return "optimal"
+            # ratios b/a share the row's denominator, and b/a < lb/la
+            # iff b*la < lb*a since a, la > 0
             leave = None
-            best = None
             for i in range(self.m):
                 if self.dead[i]:
                     continue
                 a = self.rows[i].get(entering)
                 if a is None or a <= 0:
                     continue
-                ratio = self.rhs[i] / a
-                if (best is None or ratio < best
-                        or (ratio == best and self.basis[i] < self.basis[leave])):
-                    best = ratio
-                    leave = i
+                b = self.rhs[i]
+                if leave is None:
+                    leave, lb, la = i, b, a
+                    continue
+                left, right = b * la, lb * a
+                if left < right or (left == right
+                                    and self.basis[i] < self.basis[leave]):
+                    leave, lb, la = i, b, a
             if leave is None:
                 return "unbounded"
-            if best == 0:
+            if lb == 0:
                 stall += 1
             else:
                 stall = 0
@@ -185,28 +246,28 @@ class _Tableau:
     def set_phase1_cost(self):
         # cost of artificials is 1; reduced costs subtract the basic rows
         cost = {}
+        den = 1
         for i in range(self.m):
-            _axpy(cost, qq(1), self.rows[i])
+            _, den = _sub_rational(cost, 0, den, 1, 1, self.rows[i], 0,
+                                   self.den[i])
         for i in range(self.m):
             cost.pop(self.n + i, None)
         self.cost = cost
+        self.cost_den = den
 
     def phase1_value(self):
         total = ZERO
         for i in range(self.m):
             if self.basis[i] >= self.n:
-                total += self.rhs[i]
+                total += QQ(self.rhs[i], self.den[i])
         return total
 
     def drive_out_artificials(self):
         for i in range(self.m):
             if self.dead[i] or self.basis[i] < self.n:
                 continue
-            target = None
-            for col in self.rows[i]:
-                if col < self.n and self.rows[i][col] != 0:
-                    if target is None or col < target:
-                        target = col
+            target = min((col for col in self.rows[i] if col < self.n),
+                         default=None)
             if target is None:
                 self.dead[i] = True  # redundant constraint, 0 = 0
             else:
@@ -214,14 +275,19 @@ class _Tableau:
 
     def set_phase2_cost(self):
         c = self.lp.objective
-        cost = {j: c[j] for j in range(self.n) if c[j] != 0}
+        den = math.lcm(*(int(v.denominator) for v in c))
+        cost = {j: int(c[j].numerator) * (den // int(c[j].denominator))
+                for j in range(self.n) if c[j] != 0}
         for i in range(self.m):
-            if self.dead[i]:
+            if self.dead[i] or self.basis[i] >= self.n:
                 continue
-            cb = c[self.basis[i]] if self.basis[i] < self.n else ZERO
+            cb = c[self.basis[i]]
             if cb != 0:
-                _axpy(cost, cb, self.rows[i])
+                _, den = _sub_rational(cost, 0, den, int(cb.numerator),
+                                       int(cb.denominator), self.rows[i], 0,
+                                       self.den[i])
         self.cost = cost
+        self.cost_den = den
 
 
 def solve_min(lp, max_pivots=10 ** 6):
@@ -243,7 +309,7 @@ def solve_min(lp, max_pivots=10 ** 6):
     x = [ZERO] * t.n
     for i in range(t.m):
         if not t.dead[i] and t.basis[i] < t.n:
-            x[t.basis[i]] = t.rhs[i]
+            x[t.basis[i]] = QQ(t.rhs[i], t.den[i])
     value = ZERO
     for j in range(t.n):
         if x[j] != 0:
@@ -255,7 +321,7 @@ def solve_min(lp, max_pivots=10 ** 6):
         if t.dead[i]:
             dual.append(ZERO)
         else:
-            dual.append(-t.signs[i] * t.cost.get(t.n + i, ZERO))
+            dual.append(QQ(-t.signs[i] * t.cost.get(t.n + i, 0), t.cost_den))
     return LPResult("optimal", value, tuple(x), tuple(dual), t.pivots)
 
 

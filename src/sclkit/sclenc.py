@@ -11,12 +11,13 @@ whose optimum equals 2*scl(chain); optimal vertices decode to explicit
 surface certificates.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import InvariantViolationError, ResourceLimitError
 from .freegroup import (Chain, ChainTerm, Word, canonicalize, chains_equal,
-                        invert, is_cyclically_reduced, require_boundary,
-                        scale_chain)
+                        cyclic_reduce, invert, is_cyclically_reduced,
+                        require_boundary, scale_chain)
 from .rational import QQ, ZERO, denominator_lcm, qq
 from .ratlp import LinearProgram, solve_min, verify
 
@@ -102,7 +103,6 @@ def prepare(chain):
         c = t.coefficient * scale
         if c == 0:
             continue
-        from .freegroup import cyclic_reduce
         w, _ = cyclic_reduce(t.word)
         if len(w) == 0:
             continue
@@ -228,10 +228,7 @@ def build_lp(chain, max_letters=24):
     -chi of the assembled surface at degree one.
     """
     prepared, scale = prepare(chain)
-    total_letters = sum(len(t.word) for t in prepared.terms)
-    if total_letters > max_letters:
-        raise ResourceLimitError(
-            "chain has %d letters, cap is %d" % (total_letters, max_letters))
+    _check_letters(sum(len(t.word) for t in prepared.terms), max_letters)
     rectangles = enumerate_rectangles(prepared)
     pieces = enumerate_pieces(prepared, rectangles)
     slots = _slots(prepared)
@@ -304,7 +301,16 @@ def build_lp(chain, max_letters=24):
                     tuple(dummy_types), lp, tuple(meta))
 
 
-_scl_cache = {}
+# canonical chain -> (scl, prepared letter count, pivot count), least
+# recently used first; the counts replay the resource caps on a hit
+_scl_cache = OrderedDict()
+_SCL_CACHE_SIZE = 4096
+
+
+def _check_letters(total_letters, max_letters):
+    if total_letters > max_letters:
+        raise ResourceLimitError(
+            "chain has %d letters, cap is %d" % (total_letters, max_letters))
 
 
 def solve_chain(chain, max_letters=24, max_pivots=10 ** 6):
@@ -330,20 +336,33 @@ def solve_chain(chain, max_letters=24, max_pivots=10 ** 6):
 
 
 def scl(chain, max_letters=24, max_pivots=10 ** 6):
-    """Exact stable commutator length of a homologically trivial chain."""
+    """Exact stable commutator length of a homologically trivial chain.
+
+    Results are cached by canonical chain.  A hit raises
+    ResourceLimitError exactly when a fresh solve under the given caps
+    would: the pivot count is a property of the LP, not of the run.
+    """
     key = canonicalize(chain)
     require_boundary(key)
     cached = _scl_cache.get(key)
     if cached is not None:
-        return cached
+        value, letters, pivots = cached
+        _check_letters(letters, max_letters)
+        if pivots > max_pivots:
+            raise ResourceLimitError("pivot cap exceeded (%d)" % max_pivots)
+        _scl_cache.move_to_end(key)
+        return value
     enc, result = solve_chain(key, max_letters=max_letters,
                               max_pivots=max_pivots)
     if enc is None:
-        value = ZERO
+        cached = (ZERO, 0, 0)
     else:
-        value = result.value / (2 * enc.scale)
-    _scl_cache[key] = value
-    return value
+        letters = sum(len(t.word) for t in enc.chain.terms)
+        cached = (result.value / (2 * enc.scale), letters, result.pivots)
+    _scl_cache[key] = cached
+    if len(_scl_cache) > _SCL_CACHE_SIZE:
+        _scl_cache.popitem(last=False)
+    return cached[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """The rectangle-and-polygon LP encoding and exact scl values."""
 
+from collections import OrderedDict
+
 import pytest
 
+from sclkit import sclenc
 from sclkit.chainexpr import parse_chain
 from sclkit.errors import (InvariantViolationError, NotBoundaryError,
                            ResourceLimitError)
@@ -159,6 +162,31 @@ def test_scl_cache_hits():
     first = scl(c)
     second = scl(c)
     assert first == second == qq(1, 2)
+
+
+def test_scl_cache_keeps_caps():
+    # a hit must raise exactly when a fresh solve under the caps would
+    c = parse_chain("aabbAABB").chain
+    assert scl(c) == qq(1, 2)
+    with pytest.raises(ResourceLimitError):
+        scl(c, max_pivots=3)
+    with pytest.raises(ResourceLimitError):
+        scl(c, max_letters=4)
+    pivots = solve_chain(c)[1].pivots
+    assert scl(c, max_letters=8, max_pivots=pivots) == qq(1, 2)
+    with pytest.raises(ResourceLimitError):
+        scl(c, max_pivots=pivots - 1)
+
+
+def test_scl_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(sclenc, "_scl_cache", OrderedDict())
+    monkeypatch.setattr(sclenc, "_SCL_CACHE_SIZE", 2)
+    chains = [canonicalize(chain(e)) for e in ("[a,b]", "a + b + BA", "[a,c]")]
+    for c in chains:
+        scl(c)
+    scl(chains[1])  # a hit makes it the most recently used
+    scl(chain("[b,c]"))
+    assert list(sclenc._scl_cache) == [chains[1], canonicalize(chain("[b,c]"))]
 
 
 def test_decode_certificate_abAB():
