@@ -102,7 +102,7 @@ def _cmd_immersed(args):
     report = immersion.bounds_immersed(ce.chain, max_letters=args.max_letters,
                                        max_pivots=args.max_pivots)
     record = {"command": "immersed", "input": args.chain,
-              "on_face": report.on_face, "limits": _limits(args)}
+              "on_face": report.bounds_immersed, "limits": _limits(args)}
     record.update(_criterion_fields(report))
     return record, [_criterion_line(report)]
 

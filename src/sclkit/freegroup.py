@@ -12,7 +12,7 @@ inverse classes).
 from dataclasses import dataclass
 
 from .errors import NotBoundaryError, RankMismatchError
-from .rational import QQ, qq
+from .rational import QQ, denominator_lcm, qq
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +314,30 @@ def require_boundary(chain):
         raise NotBoundaryError(
             "chain is not homologically trivial: exponent vector (%s)"
             % ", ".join(str(v) for v in abelianize(chain)))
+
+
+def prepare(chain):
+    """Integerize and orient a chain for encoding; returns (chain, scale).
+
+    Clears denominators (scale = lcm of them), drops terms that die in
+    the normal form (identity words), replaces negative-coefficient terms
+    by their inverse words, and cyclically reduces every word.  Raises
+    NotBoundaryError if the chain is not homologically trivial.
+    """
+    require_boundary(chain)
+    scale = denominator_lcm(t.coefficient for t in chain.terms)
+    terms = []
+    for t in chain.terms:
+        c = t.coefficient * scale
+        if c == 0:
+            continue
+        w, _ = cyclic_reduce(t.word)
+        if len(w) == 0:
+            continue
+        if c < 0:
+            c, w = -c, invert(w)
+        terms.append(ChainTerm(c, w))
+    return Chain(tuple(terms), chain.rank), qq(scale)
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,6 @@ class CriterionReport:
     rot: QQ
     bounds_immersed: bool
 
-    @property
-    def on_face(self):
-        # same predicate, projective reading: the chain's class lies on the
-        # face of the scl unit ball dual to the rotation quasimorphism
-        return self.bounds_immersed
-
 
 @dataclass(frozen=True)
 class StabilizationReport:

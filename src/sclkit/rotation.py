@@ -15,12 +15,15 @@ each inverse generator the exact inverse lift, so words evaluate to a
 genuine lifted action.
 """
 
+import functools
 import math
+import random
 from dataclasses import dataclass
 
 from .errors import (InvariantViolationError, NotBoundaryError,
                      NumericalMarginError, RankMismatchError)
-from .freegroup import cyclic_reduce, require_boundary, word_exponents
+from .freegroup import (concat, cyclic_reduce, make_word, require_boundary,
+                        word, word_exponents)
 from .rational import qq
 
 _EPS = 1e-9
@@ -162,15 +165,10 @@ def _build_rep(flip):
     return PTRep(2, matrices, offsets)
 
 
-_rep_cache = {}
-
-
+@functools.cache
 def punctured_torus_rep():
     """The once-punctured torus holonomy, oriented so that the
     commutator boundary word has rotation number +1."""
-    if "rep" in _rep_cache:
-        return _rep_cache["rep"]
-    from .freegroup import word
     boundary = word("abAB")
     for flip in (False, True):
         rep = _build_rep(flip)
@@ -183,7 +181,6 @@ def punctured_torus_rep():
             raise InvariantViolationError(
                 "commutator trace must be -4, got %r" % comm.trace())
         if rot_element(rep, boundary) == 1:
-            _rep_cache["rep"] = rep
             return rep
     raise InvariantViolationError("could not orient the holonomy")
 
@@ -242,11 +239,6 @@ def rot(chain):
     return rot_chain(punctured_torus_rep(), chain)
 
 
-def area_coefficient(chain):
-    """Multiple of 2*pi the chain's rotation number certifies as area."""
-    return 2 * rot(chain)
-
-
 _DIRECTIONS = {1: 0, 2: 1, -1: 2, -2: 3}
 
 
@@ -298,8 +290,6 @@ def defect_probe(rep=None, samples=500, seed=20260814):
     The rotation quasimorphism has defect one, so any value above one is
     an implementation fault and raises InvariantViolationError.
     """
-    import random
-    from .freegroup import concat, make_word
     if rep is None:
         rep = punctured_torus_rep()
     rng = random.Random(seed)

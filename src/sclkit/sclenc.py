@@ -14,11 +14,11 @@ surface certificates.
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from . import surfcert
 from .errors import InvariantViolationError, ResourceLimitError
-from .freegroup import (Chain, ChainTerm, Word, canonicalize, chains_equal,
-                        cyclic_reduce, invert, is_cyclically_reduced,
-                        require_boundary, scale_chain)
-from .rational import QQ, ZERO, denominator_lcm, qq
+from .freegroup import (Chain, Word, canonicalize, is_cyclically_reduced,
+                        prepare, require_boundary, scale_chain)
+from .rational import ZERO, denominator_lcm, qq
 from .ratlp import LinearProgram, solve_min, verify
 
 
@@ -86,30 +86,6 @@ class Encoding:
     dummy_types: tuple  # ordered corner pairs appearing in pieces
     lp: LinearProgram
     row_meta: tuple  # ("cover", slot) / ("side", rect, which) / ("dummy", d)
-
-
-def prepare(chain):
-    """Integerize and orient a chain for encoding; returns (chain, scale).
-
-    Clears denominators (scale = lcm of them), drops terms that die in
-    the normal form (identity words), replaces negative-coefficient terms
-    by their inverse words, and cyclically reduces every word.  Raises
-    NotBoundaryError if the chain is not homologically trivial.
-    """
-    require_boundary(chain)
-    scale = denominator_lcm(t.coefficient for t in chain.terms)
-    terms = []
-    for t in chain.terms:
-        c = t.coefficient * scale
-        if c == 0:
-            continue
-        w, _ = cyclic_reduce(t.word)
-        if len(w) == 0:
-            continue
-        if c < 0:
-            c, w = -c, invert(w)
-        terms.append(ChainTerm(c, w))
-    return Chain(tuple(terms), chain.rank), qq(scale)
 
 
 def _letter(chain, slot):
@@ -374,19 +350,21 @@ def decode_certificate(encoding, result):
     The vertex is scaled by the lcm N of its denominators (doubled if a
     self-reverse dummy type has odd integer usage) to integer piece and
     rectangle counts, dummy sides are paired off deterministically, and
-    pieces merge along them into polygons.  The certificate's Euler
-    characteristic is recomputed by independent cell counting and its
-    boundary is traced and compared against N times the encoded chain;
-    any disagreement raises InvariantViolationError.
+    pieces merge along them into polygons.  The boundary is traced into
+    circles, and the rectangles become the bands of a band surface over
+    them, which surfcert checks: its chi (counted by corner orbits and by
+    cells) must equal the pieces' chi and the LP optimum, and its boundary
+    must be N times the encoded chain; any disagreement raises
+    InvariantViolationError.
     """
     rect_w = result.primal[:len(encoding.rectangles)]
     piece_w = result.primal[len(encoding.rectangles):]
     n = denominator_lcm(list(rect_w) + list(piece_w))
     # parity fix: a self-reverse dummy type needs even total usage
+    used = [(w, p) for w, p in zip(piece_w, encoding.pieces) if w]
     for d in encoding.dummy_types:
         if d.start == d.end:
-            total = sum(p.sides.count(d) * piece_w[pi] * n
-                        for pi, p in enumerate(encoding.pieces))
+            total = sum(p.sides.count(d) * w * n for w, p in used)
             if total % 2 != 0:
                 n *= 2
                 break
@@ -486,13 +464,11 @@ def decode_certificate(encoding, result):
         ri2, which2, copy2 = position_rect[prev]
         return (ri2, "q" if which2 == 1 else "p", copy2)
 
-    arcs = set()
-    for ri in range(len(encoding.rectangles)):
-        for copy in range(rect_counts[ri]):
-            arcs.add((ri, "p", copy))
-            arcs.add((ri, "q", copy))
-    boundary_words = []
-    remaining = set(arcs)
+    remaining = {(ri, role, copy)
+                 for ri in range(len(encoding.rectangles))
+                 for copy in range(rect_counts[ri]) for role in ("p", "q")}
+    circles = []
+    arc_at = {}  # (rect, role, copy) -> (circle, position)
     while remaining:
         start = min(remaining)
         letters = []
@@ -502,6 +478,7 @@ def decode_certificate(encoding, result):
             ri, role, copy = cur
             rect = encoding.rectangles[ri]
             slot = rect.p if role == "p" else rect.q
+            arc_at[cur] = (len(circles), len(letters))
             letters.append(_letter(encoding.chain, slot))
             terms.append(slot.term)
             remaining.discard(cur)
@@ -513,82 +490,27 @@ def decode_certificate(encoding, result):
         word_len = len(encoding.chain.terms[terms[0]].word)
         if len(letters) % word_len != 0:
             raise InvariantViolationError("boundary circle length mismatch")
-        boundary_words.append(Word(tuple(letters), encoding.chain.rank))
+        circles.append(Word(tuple(letters), encoding.chain.rank))
 
-    boundary = Chain(tuple(ChainTerm(qq(1), w) for w in boundary_words),
-                     encoding.chain.rank)
-    target = scale_chain(encoding.chain, n)
-    if not chains_equal(boundary, target):
+    # the rectangles are the bands of a band surface over the circles:
+    # each rectangle copy joins its p-arc to its q-arc
+    system = surfcert.ArcSystem(tuple(circles), encoding.chain.rank)
+    bands = surfcert.certificate_from_matching(surfcert.matching(
+        system, [(arc_at[(ri, "p", copy)], arc_at[(ri, "q", copy)])
+                 for ri in range(len(encoding.rectangles))
+                 for copy in range(rect_counts[ri])]))
+    target = canonicalize(scale_chain(encoding.chain, n))
+    if bands.boundary.terms != target.terms:
         raise InvariantViolationError(
             "decoded boundary does not match %d times the encoded chain" % n)
-
-    # independent Euler characteristic by cell counting:
-    # chi = V - E + F with F = rects + pieces, E = 4*rects + dummy pairs
-    # (two letter arcs and two glued vertical sides per rectangle), and
-    # V counted by union-find over all corner instances
-    uf = {}
-
-    def find(x):
-        root = x
-        while uf.get(root, root) != root:
-            root = uf[root]
-        while uf.get(x, x) != x:
-            uf[x], x = root, uf[x]
-        return root
-
-    def union(x, y):
-        uf.setdefault(x, x)
-        uf.setdefault(y, y)
-        uf[find(x)] = find(y)
-
-    # vertices: rectangle copy corners ("r", ri, copy, 1..4) where
-    # 1 = after-p, 2 = before-q, 3 = after-q, 4 = before-p; piece corner
-    # instances ("c", pi, copy, j) = corner at the END of side j
-    total_rects = 0
-    for ri in range(len(encoding.rectangles)):
-        for copy in range(rect_counts[ri]):
-            total_rects += 1
-            for corner in (1, 2, 3, 4):
-                uf.setdefault(("r", ri, copy, corner), ("r", ri, copy, corner))
-    total_pieces = 0
-    for pi, piece in enumerate(encoding.pieces):
-        for copy in range(piece_counts[pi]):
-            total_pieces += 1
-            for j in range(len(piece.sides)):
-                uf.setdefault(("c", pi, copy, j), ("c", pi, copy, j))
-    # real gluings: side start corner ~ piece corner before j, side end
-    # corner ~ piece corner at j
-    for (ri, which, copy), (pi, pcopy, j) in rect_side_positions.items():
-        nsides = len(encoding.pieces[pi].sides)
-        start_corner = ("c", pi, pcopy, (j - 1) % nsides)
-        end_corner = ("c", pi, pcopy, j)
-        if which == 1:
-            union(("r", ri, copy, 1), start_corner)
-            union(("r", ri, copy, 2), end_corner)
-        else:
-            union(("r", ri, copy, 3), start_corner)
-            union(("r", ri, copy, 4), end_corner)
-    # dummy gluings are orientation reversing: start ~ partner end
-    dummy_pairs = 0
-    for pos, other in partner.items():
-        if pos < other:
-            dummy_pairs += 1
-        pi, copy, j = pos
-        qi, qcopy, qj = other
-        ns_p = len(encoding.pieces[pi].sides)
-        ns_q = len(encoding.pieces[qi].sides)
-        union(("c", pi, copy, (j - 1) % ns_p), ("c", qi, qcopy, qj))
-        union(("c", pi, copy, j), ("c", qi, qcopy, (qj - 1) % ns_q))
-    vertices = len({find(x) for x in list(uf)})
-    chi_cells = vertices - (4 * total_rects + dummy_pairs) + (total_rects + total_pieces)
-    chi_formula = -(total_rects + dummy_pairs - total_pieces)
-    if chi_cells != chi_formula:
+    chi_formula = -(sum(rect_counts) + len(partner) // 2 - sum(piece_counts))
+    # at an optimal vertex every merged region is a disk, so the two counts agree
+    if bands.chi != chi_formula:
         raise InvariantViolationError(
-            "cell count chi %d disagrees with formula chi %d"
-            % (chi_cells, chi_formula))
+            "band surface chi %d disagrees with formula chi %d"
+            % (bands.chi, chi_formula))
     if -qq(chi_formula) != qq(n) * result.value:
         raise InvariantViolationError("chi does not match the LP optimum")
-    from . import surfcert
     return surfcert.SurfaceCertificate(
-        chi=chi_formula, degree=n, boundary=canonicalize(boundary),
+        chi=chi_formula, degree=n, boundary=bands.boundary,
         provenance="lp-decode")

@@ -11,9 +11,10 @@ covers n times; equality is an extremality certificate.
 
 from dataclasses import dataclass
 
+from .chainexpr import format_chain, parse_chain
 from .errors import InvariantViolationError, ResourceLimitError
-from .freegroup import (Chain, ChainTerm, Word, canonicalize, chains_equal,
-                        scale_chain, word)
+from .freegroup import (Chain, ChainTerm, Word, canonicalize, letter_to_char,
+                        prepare, scale_chain, word)
 from .rational import ONE, qq
 
 
@@ -59,13 +60,13 @@ class Matching:
     pairs: tuple  # of ((i, j), (i, j)), each pair sorted, pairs sorted
 
     def __post_init__(self):
-        arcs = self.system.arcs()
+        arcs = set(self.system.arcs())
         seen = set()
         for a, b in self.pairs:
             if a == b:
                 raise ValueError("an arc cannot pair with itself")
             for x in (a, b):
-                if x not in set(arcs):
+                if x not in arcs:
                     raise ValueError("unknown arc %r" % (x,))
                 if x in seen:
                     raise ValueError("arc %r paired twice" % (x,))
@@ -169,9 +170,7 @@ def euler_characteristic_cells(m):
     # polygon corners: the orbit step from the corner after arc a crosses
     # the vertical joining end(a) to start(partner-side); the polygon
     # corner between consecutive sides sits at the gap after each arc
-    partner = m.partner()
     for oi, orbit in enumerate(orbits):
-        k = len(orbit)
         for t, a in enumerate(orbit):
             union(("poly", oi, t), ("end", a))
             # the same polygon corner also touches the next arc start
@@ -228,7 +227,8 @@ def extremality_ratio(certificate, chain):
     if len(boundary.terms) != len(target.terms):
         raise ValueError("certificate boundary is not a multiple of the chain")
     mult = boundary.terms[0].coefficient / target.terms[0].coefficient
-    if mult <= 0 or not chains_equal(boundary, scale_chain(target, mult)):
+    if (mult <= 0 or boundary.rank != target.rank
+            or boundary.terms != scale_chain(target, mult).terms):
         raise ValueError("certificate boundary is not a multiple of the chain")
     return -qq(certificate.chi) / (2 * mult)
 
@@ -337,7 +337,6 @@ def search_matching(chain, n=1, max_nodes=10 ** 7):
     of the chi-maximal pairing; -chi/(2n) is then an upper bound for
     scl of the prepared chain.
     """
-    from .sclenc import prepare
     prepared, _ = prepare(chain)
     if prepared.is_empty():
         # canonically zero chain: the empty surface bounds it, chi = 0
@@ -353,7 +352,7 @@ def search_matching(chain, n=1, max_nodes=10 ** 7):
     chi, m = search_matching_arcs(system, max_nodes=max_nodes)
     cert = certificate_from_matching(m)
     target = canonicalize(scale_chain(prepared, n))
-    if not chains_equal(cert.boundary, target):
+    if cert.boundary.terms != target.terms:
         raise InvariantViolationError(
             "search certificate bounds the wrong chain")
     return cert, m
@@ -364,8 +363,6 @@ def search_matching(chain, n=1, max_nodes=10 ** 7):
 
 def write_certificate(m, chain=None, degree=None):
     """Serialize a matching (and optional chain context) as text."""
-    from .chainexpr import format_chain
-    from .freegroup import letter_to_char
     lines = ["rank %d" % m.system.rank]
     for i, w in enumerate(m.system.cycles):
         lines.append("cycle %d: %s"
@@ -381,7 +378,6 @@ def write_certificate(m, chain=None, degree=None):
 
 def read_certificate(text):
     """Parse the textual format; returns (Matching, chain, degree)."""
-    from .chainexpr import parse_chain
     rank = None
     cycles = {}
     pairs = []

@@ -142,6 +142,7 @@ def test_json_record_stable(capsys):
     assert rec["rot"] == "2/1"
     assert rec["rot_half"] == "1/1"
     assert rec["bounds_immersed"] is True
+    assert rec["on_face"] is True
     assert rec["limits"] == {"max_letters": 24, "max_pivots": 10 ** 6}
 
 

@@ -25,7 +25,6 @@ def test_criterion_true_examples():
     for expr in ("abAB", "2*abAB + ab - a - b", "2*abAB - ab + a + b"):
         rep = bounds_immersed(parse_chain(expr).chain)
         assert rep.bounds_immersed, expr
-        assert rep.on_face
         assert 2 * rep.scl == rep.rot
 
 

@@ -9,9 +9,9 @@ from sclkit.errors import (InvariantViolationError, NotBoundaryError,
                            RankMismatchError)
 from sclkit.freegroup import (concat, invert, single_chain, word, word_power)
 from sclkit.rational import qq
-from sclkit.rotation import (Mobius, PTRep, area_coefficient, classify,
-                             defect_probe, punctured_torus_rep, rot,
-                             rot_chain, rot_element, turning_number,
+from sclkit.rotation import (Mobius, PTRep, classify, defect_probe,
+                             punctured_torus_rep, rot, rot_chain,
+                             rot_element, turning_number,
                              turning_number_chain)
 
 from conftest import COMMUTATOR_WORDS, chain, random_word, seeded
@@ -160,8 +160,9 @@ def test_rot_chain_is_rational_type():
 
 
 def test_area_coefficient():
-    assert area_coefficient(parse_chain("abAB").chain) == 2
-    assert area_coefficient(parse_chain("2*abAB + ab - a - b").chain) == 4
+    # the area a chain's rotation number certifies, in units of 2*pi
+    assert 2 * rot(parse_chain("abAB").chain) == 2
+    assert 2 * rot(parse_chain("2*abAB + ab - a - b").chain) == 4
 
 
 def test_turning_number_pins():

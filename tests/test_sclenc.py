@@ -1,5 +1,6 @@
 """The rectangle-and-polygon LP encoding and exact scl values."""
 
+import dataclasses
 from collections import OrderedDict
 
 import pytest
@@ -199,17 +200,32 @@ def test_decode_certificate_abAB():
 
 
 def test_decode_certificate_corpus_soundness():
-    for expr, value in SCL_CORPUS:
-        c = parse_chain(expr).chain
+    rng = seeded(1618)
+    cases = [(parse_chain(expr).chain, value) for expr, value in SCL_CORPUS]
+    cases += [(random_trivial_chain(rng, rank=rng.choice((2, 3)),
+                                    max_letters=8), None)
+              for _ in range(48)]
+    for c, value in cases:
         enc, res = solve_chain(c)
         if enc is None:
             assert value == 0
             continue
+        if value is None:
+            value = res.value / (2 * enc.scale)
         cert = decode_certificate(enc, res)
-        assert qq(-cert.chi, 2 * cert.degree) / enc.scale == value, expr
+        assert cert.provenance == "lp-decode"
+        assert qq(-cert.chi, 2 * cert.degree) / enc.scale == value, c
         prepared, _ = prepare(canonicalize(c))
         want = canonicalize(scale_chain(prepared, cert.degree))
-        assert cert.boundary == want, expr
+        assert cert.boundary == want, c
+
+
+def test_decode_certificate_rejects_tampered_result():
+    enc, res = solve_chain(parse_chain("2*abAB + ab - a - b").chain)
+    with pytest.raises(InvariantViolationError):
+        decode_certificate(enc, dataclasses.replace(res, value=res.value + 1))
+    with pytest.raises(InvariantViolationError):
+        decode_certificate(enc, dataclasses.replace(res, value=res.value / 2))
 
 
 def test_homogeneity_random():
