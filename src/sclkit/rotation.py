@@ -128,8 +128,14 @@ class PTRep:
 
     def matrix_of(self, w):
         m = Mobius(1.0, 0.0, 0.0, 1.0)
-        for letter in w.letters:
-            m = m.compose(self.matrices[letter])
+        try:
+            for letter in w.letters:
+                m = m.compose(self.matrices[letter])
+        except ValueError:
+            # the float product overflowed, so its determinant is not 1
+            raise NumericalMarginError(
+                "holonomy of a %d-letter word overflows float64" % len(w)
+            ) from None
         return m
 
 

@@ -100,7 +100,7 @@ def _slots(chain):
     return out
 
 
-def _corner_after(chain, slot):
+def _corner_after(slot):
     return CornerSlot(slot.term, slot.pos)
 
 
@@ -118,82 +118,103 @@ def _check_cyclic_words(chain):
 
 
 def enumerate_rectangles(chain):
-    """All unordered slot pairs with exactly inverse letters."""
+    """All unordered slot pairs with exactly inverse letters, ordered by
+    the positions (a, b) of p and q in slot order."""
     _check_cyclic_words(chain)
     slots = _slots(chain)
+    by_letter = {}  # letter -> ascending positions of the slots carrying it
+    for b, slot in enumerate(slots):
+        by_letter.setdefault(_letter(chain, slot), []).append(b)
     rects = []
-    for a in range(len(slots)):
-        for b in range(a + 1, len(slots)):
-            p, q = slots[a], slots[b]
-            if _letter(chain, p) == -_letter(chain, q):
-                s1 = (_corner_after(chain, p), _corner_before(chain, q))
-                s2 = (_corner_after(chain, q), _corner_before(chain, p))
+    for a, p in enumerate(slots):
+        for b in by_letter.get(-_letter(chain, p), ()):
+            if b > a:
+                q = slots[b]
+                s1 = (_corner_after(p), _corner_before(chain, q))
+                s2 = (_corner_after(q), _corner_before(chain, p))
                 rects.append(RectangleVar(p, q, s1, s2))
     return tuple(rects)
 
 
+def _dummy_key(start, end):
+    return (1, start.term, start.gap, end.term, end.gap)
+
+
 def _side_key(side):
+    """Integer sort key: rectangle sides by (rect, which) first, then
+    dummy sides by (start, end) corner."""
     if isinstance(side, RealSide):
         return (0, side.rect, side.which)
-    return (1, side.start, side.end)
+    return _dummy_key(side.start, side.end)
 
 
-def _piece_key(piece):
-    return (len(piece.sides), tuple(_side_key(s) for s in piece.sides))
-
-
-def _rotate_min_first(sides):
-    best = None
-    for i in range(len(sides)):
-        rot = sides[i:] + sides[:i]
-        key = tuple(_side_key(s) for s in rot)
-        if best is None or key < best[0]:
-            best = (key, rot)
-    return best[1]
+def _keyed_piece(kind, keyed):
+    """(sort key, PieceVar) from (side, side key) pairs in cyclic order,
+    already rotated so that the sequence of side keys is least."""
+    sides, keys = zip(*keyed)
+    return (len(keys), keys), PieceVar(kind, sides)
 
 
 def enumerate_pieces(chain, rectangles=None):
     """All corner-compatible bigons (two rectangle sides) and triangles
-    (at least one rectangle side, dummy diagonals for the rest)."""
+    (at least one rectangle side, dummy diagonals for the rest).
+
+    Every side's sort key is computed once and carried beside it; corners
+    are numbered in sorted order, so each dummy side is built once.
+    """
     _check_cyclic_words(chain)
     if rectangles is None:
         rectangles = enumerate_rectangles(chain)
-    # real side table: (RealSide, start, end)
+    corners = sorted({_corner_after(s) for s in _slots(chain)})
+    index = {c: i for i, c in enumerate(corners)}
+    # dummy[i][j]: (DummySide from corner i to corner j, its key)
+    dummy = [[(DummySide(a, b), _dummy_key(a, b)) for b in corners]
+             for a in corners]
+    # real side table: (RealSide, key, start corner, end corner)
     sides = []
     for ri, rect in enumerate(rectangles):
-        sides.append((RealSide(ri, 1), rect.s1[0], rect.s1[1]))
-        sides.append((RealSide(ri, 2), rect.s2[0], rect.s2[1]))
-    corners = sorted({_corner_after(chain, s) for s in _slots(chain)})
-    starts = {}
+        for which, (a, b) in ((1, rect.s1), (2, rect.s2)):
+            sides.append(
+                (RealSide(ri, which), (0, ri, which), index[a], index[b]))
+    starts = [[] for _ in corners]
     for entry in sides:
-        starts.setdefault(entry[1], []).append(entry)
+        starts[entry[2]].append(entry)
     pieces = []
-    for s1, a1, b1 in sides:
+    for s1, k1, a1, b1 in sides:
         # bigons and 2-real triangles: second side continues from b1
-        for s2, a2, b2 in starts.get(b1, ()):
-            if s2 == s1:
+        for s2, k2, a2, b2 in starts[b1]:
+            if k2 == k1:
                 continue  # needs b1 == a1, impossible for cyclic words
-            if b2 == a1 and _side_key(s1) < _side_key(s2):
-                pieces.append(PieceVar("bigon", _rotate_min_first((s1, s2))))
-            pieces.append(PieceVar(
-                "triangle", _rotate_min_first((s1, s2, DummySide(b2, a1)))))
+            if b2 == a1 and k1 < k2:
+                pieces.append(_keyed_piece("bigon", ((s1, k1), (s2, k2))))
+            # the keys are distinct and a dummy's exceeds every real one,
+            # so the least rotation starts at the lesser real side
+            tri = ((s1, k1), (s2, k2), dummy[b2][a1])
+            pieces.append(_keyed_piece(
+                "triangle", tri if k1 < k2 else tri[1:] + tri[:1]))
             # 3-real triangles, s1 strictly minimal to dedupe rotations
-            if _side_key(s2) > _side_key(s1):
-                for s3, a3, b3 in starts.get(b2, ()):
-                    if b3 == a1 and _side_key(s3) > _side_key(s1):
-                        pieces.append(PieceVar(
-                            "triangle", _rotate_min_first((s1, s2, s3))))
+            if k2 > k1:
+                for s3, k3, a3, b3 in starts[b2]:
+                    if b3 == a1 and k3 > k1:
+                        pieces.append(_keyed_piece(
+                            "triangle", ((s1, k1), (s2, k2), (s3, k3))))
         # 1-real triangles: both other sides are dummies through corner x
-        for x in corners:
-            pieces.append(PieceVar(
-                "triangle",
-                _rotate_min_first((s1, DummySide(b1, x), DummySide(x, a1)))))
-    pieces.sort(key=_piece_key)
-    return tuple(pieces)
+        # (the one real side comes first, so the rotation is least)
+        for x in range(len(corners)):
+            pieces.append(_keyed_piece(
+                "triangle", ((s1, k1), dummy[b1][x], dummy[x][a1])))
+    pieces.sort(key=lambda kp: kp[0])
+    return tuple(p for _, p in pieces)
 
 
 def _dummy_reverse(d):
     return DummySide(d.end, d.start)
+
+
+# the few exact values that LP entries and piece costs take
+_ONE = qq(1)
+_NET = {k: qq(k) for k in range(-3, 4)}
+_PIECE_COST = {k: qq(k - 2, 2) for k in range(4)}  # by dummy side count
 
 
 def build_lp(chain, max_letters=24):
@@ -202,77 +223,78 @@ def build_lp(chain, max_letters=24):
     The chain is prepared first (integer positive coefficients); the LP
     minimizes  sum(r) + sum(dummy_count/2 - 1, weighted)  which equals
     -chi of the assembled surface at degree one.
+
+    The rows are assembled in time linear in their nonzeros.  Each row's
+    index is fixed up front: one cover row per letter slot, then side
+    rows (rect, 1) and (rect, 2), then one row per pair of mutually
+    reverse dummy types, which a dummy side enters with sign +1 when its
+    key is the smaller of the pair and -1 otherwise.  Each rectangle
+    writes its cover and side entries, and one pass over the pieces, in
+    column order, appends each piece's net usage to the rows it touches.
     """
     prepared, scale = prepare(chain)
     _check_letters(sum(len(t.word) for t in prepared.terms), max_letters)
     rectangles = enumerate_rectangles(prepared)
     pieces = enumerate_pieces(prepared, rectangles)
     slots = _slots(prepared)
-    ncols = len(rectangles) + len(pieces)
+    nrect = len(rectangles)
+    ncover = len(slots)
 
-    dummy_types = sorted(
-        {s for p in pieces for s in p.sides if isinstance(s, DummySide)},
-        key=_side_key)
-    dummy_set = set(dummy_types)
+    by_key = {}  # dummy side key -> dummy type
+    for p in pieces:
+        for s in p.sides:
+            if not isinstance(s, RealSide):
+                by_key.setdefault(_dummy_key(s.start, s.end), s)
+    dummy_types = [by_key[k] for k in sorted(by_key)]
+    dummy_row = {}  # dummy side key -> (row, sign); loops have no row
+    meta = [("cover", slot) for slot in slots]
+    meta += [("side", ri, which)
+             for ri in range(nrect) for which in (1, 2)]
     for d in dummy_types:
-        if _dummy_reverse(d) not in dummy_set:
+        key = _dummy_key(d.start, d.end)
+        rkey = _dummy_key(d.end, d.start)
+        if rkey not in by_key:
             raise InvariantViolationError(
                 "dummy type %r lacks its reverse" % (d,))
+        if key < rkey:
+            dummy_row[key] = (len(meta), 1)
+            dummy_row[rkey] = (len(meta), -1)
+            meta.append(("dummy", d))
 
-    rows = []
-    rhs = []
-    meta = []
+    rows = [[] for _ in meta]
     # coverage: per letter slot, incident rectangle weights sum to the
-    # term coefficient
-    for slot in slots:
-        entries = {}
-        for ri, rect in enumerate(rectangles):
-            if rect.p == slot or rect.q == slot:
-                entries[ri] = qq(1)
-        rows.append(entries)
-        rhs.append(qq(prepared.terms[slot.term].coefficient))
-        meta.append(("cover", slot))
-    # side matching: rectangle weight equals total piece usage of the side
-    usage = []  # per piece: dict side -> multiplicity
-    for p in pieces:
-        u = {}
-        for s in p.sides:
-            u[s] = u.get(s, 0) + 1
-        usage.append(u)
-    for ri in range(len(rectangles)):
-        for which in (1, 2):
-            side = RealSide(ri, which)
-            entries = {ri: qq(1)}
-            for pi, u in enumerate(usage):
-                if side in u:
-                    entries[len(rectangles) + pi] = qq(-u[side])
-            rows.append(entries)
-            rhs.append(ZERO)
-            meta.append(("side", ri, which))
+    # term coefficient; side matching: rectangle weight equals the total
+    # piece usage of the side
+    cover = {slot: i for i, slot in enumerate(slots)}
+    for ri, rect in enumerate(rectangles):
+        rows[cover[rect.p]].append((ri, _ONE))
+        rows[cover[rect.q]].append((ri, _ONE))
+        rows[ncover + 2 * ri].append((ri, _ONE))
+        rows[ncover + 2 * ri + 1].append((ri, _ONE))
     # dummy matching: usage of each ordered pair equals usage of its
     # reverse (loops are self-paired and give no constraint)
-    for d in dummy_types:
-        r = _dummy_reverse(d)
-        if not _side_key(d) < _side_key(r):
-            continue
-        entries = {}
-        for pi, u in enumerate(usage):
-            net = u.get(d, 0) - u.get(r, 0)
-            if net != 0:
-                entries[len(rectangles) + pi] = qq(net)
-        rows.append(entries)
-        rhs.append(ZERO)
-        meta.append(("dummy", d))
+    objective = [_ONE] * nrect
+    for col, p in enumerate(pieces, nrect):
+        net = {}
+        dummies = 0
+        for s in p.sides:
+            if isinstance(s, RealSide):
+                r = ncover + 2 * s.rect + s.which - 1
+                net[r] = net.get(r, 0) - 1
+            else:
+                dummies += 1
+                entry = dummy_row.get(_dummy_key(s.start, s.end))
+                if entry is not None:
+                    net[entry[0]] = net.get(entry[0], 0) + entry[1]
+        for r, v in net.items():
+            if v:
+                rows[r].append((col, _NET[v]))
+        objective.append(_PIECE_COST[dummies])
 
-    objective = [qq(1)] * len(rectangles)
-    for p in pieces:
-        objective.append(qq(p.dummy_count() - 2, 2))
-
-    lp = LinearProgram(
-        ncols,
-        tuple(tuple(sorted(e.items())) for e in rows),
-        tuple(rhs),
-        tuple(objective))
+    rhs = [qq(prepared.terms[slot.term].coefficient) for slot in slots]
+    rhs += [ZERO] * (len(meta) - ncover)
+    lp = LinearProgram(nrect + len(pieces), tuple(map(tuple, rows)),
+                       tuple(rhs), tuple(objective))
     return Encoding(prepared, scale, tuple(slots), rectangles, pieces,
                     tuple(dummy_types), lp, tuple(meta))
 

@@ -202,6 +202,19 @@ def test_exit_code_invariant_violation(capsys, monkeypatch):
     assert "disagrees" in err
 
 
+def test_exit_code_holonomy_overflow(capsys):
+    # a 484-letter primitive word: the float holonomy product overflows,
+    # which is a numeric fault (exit 5), not a usage error (exit 2)
+    text = "aabbAABB" * 60 + "abAB"
+    code, out, err = run(capsys, "rot", text)
+    assert code == 5
+    assert out == ""
+    assert "484-letter" in err
+    code, out, _ = run(capsys, "rot", text, "--method", "turning")
+    assert code == 0
+    assert out == "rot = 61/1\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "sclkit", "scl", "[a,b]"],

@@ -17,6 +17,7 @@ from sclkit.sclenc import (CornerSlot, DummySide, LetterSlot, PieceVar,
                            enumerate_pieces, enumerate_rectangles, prepare,
                            scl, solve_chain)
 
+import encoding_oracle
 from conftest import SCL_CORPUS, chain, random_trivial_chain, seeded
 
 
@@ -104,6 +105,23 @@ def test_build_lp_objective_and_rows():
     kinds = [meta[0] for meta in enc.row_meta]
     assert kinds.count("cover") == 4
     assert kinds.count("side") == 2 * nrect
+
+
+def test_build_lp_matches_oracle():
+    # the whole Encoding, rows and pieces in order, equals the quadratic
+    # dict-per-row assembly it replaced
+    rng = seeded(4242)
+    cases = [chain(expr) for expr, _ in SCL_CORPUS]
+    cases += [random_trivial_chain(rng, rank=rng.choice((2, 3)),
+                                   max_letters=12) for _ in range(120)]
+    cases += [chain("aabbAABB + abABAbaB"),  # 16 letters
+              chain("[aba,bbab] + abAB"),  # 18 letters
+              chain("aabbAABBabAB + ab - a - b + abAB")]  # 20 letters
+    for c in cases:
+        c = canonicalize(c)
+        if c.is_empty():
+            continue
+        assert build_lp(c) == encoding_oracle.build_lp(c), c
 
 
 def test_lp_optimum_examples():
