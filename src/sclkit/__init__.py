@@ -21,10 +21,9 @@ from .rotation import (Mobius, PTRep, classify, defect_probe,
                        turning_number, turning_number_chain)
 from .surfcert import (ArcSystem, Matching, SurfaceCertificate, arc_system,
                        boundary_chain, certificate_from_matching,
-                       euler_characteristic, euler_characteristic_cells,
-                       extremality_ratio, matching, read_certificate,
-                       search_matching, search_matching_arcs,
-                       write_certificate)
+                       euler_characteristic, extremality_ratio, matching,
+                       read_certificate, search_matching,
+                       search_matching_arcs, write_certificate)
 from .immersion import (BOUNDARY_CLASS, CriterionReport, ScanReport,
                         StabilizationReport, bounds_immersed,
                         corollary_check, minimal_stabilization,

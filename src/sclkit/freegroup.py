@@ -34,8 +34,8 @@ def letter_to_char(letter):
 
 
 def letter_key(letter):
-    """Sort key ordering letters a < A < b < B < c < ..."""
-    return (abs(letter), 0 if letter > 0 else 1)
+    """Integer sort key: a < A < b < B < ... are 1, 2, 3, 4, ..."""
+    return 2 * abs(letter) - (letter > 0)
 
 
 def reduce_letters(letters):
@@ -143,6 +143,17 @@ def cyclic_reduce(w):
     return Word(L[i:j], w.rank), Word(L[:i], w.rank)
 
 
+def _cyclic_root(core):
+    """(u, k) with core = u**k and u primitive, for a nonempty cyclically
+    reduced core; the root is the periodic block of the letter string."""
+    L = core.letters
+    n = len(L)
+    for d in range(1, n + 1):
+        if n % d == 0 and L[:d] * (n // d) == L:
+            return (core if d == n else Word(L[:d], core.rank)), n // d
+    raise AssertionError("unreachable")  # pragma: no cover
+
+
 def primitive_root(w):
     """Smallest u with w = u**k (k >= 1); returns (u, k).
 
@@ -151,22 +162,45 @@ def primitive_root(w):
     first.  The empty word returns (w, 1).
     """
     core, conj = cyclic_reduce(w)
-    n = len(core)
-    if n == 0:
+    if len(core) == 0:
         return w, 1
-    L = core.letters
-    for d in range(1, n + 1):
-        if n % d == 0 and L[:d] * (n // d) == L:
-            root_core = Word(L[:d], w.rank)
-            if len(conj) == 0:
-                return root_core, n // d
-            return concat(conj, root_core, invert(conj)), n // d
-    raise AssertionError("unreachable")  # pragma: no cover
+    root_core, k = _cyclic_root(core)
+    if len(conj) == 0:
+        return root_core, k
+    return concat(conj, root_core, invert(conj)), k
 
 
 def word_key(w):
     """Total order on words: by the letter order a < A < b < B < ..."""
     return tuple(letter_key(x) for x in w.letters)
+
+
+def _least_rotation(keys):
+    """Start of the lexicographically least rotation of a sequence (the
+    first start, when several rotations are equal).
+
+    Booth's algorithm (1980): a Knuth-Morris-Pratt failure function over
+    the doubled sequence, in which a mismatch against a smaller element
+    moves the candidate start k forward; O(n) comparisons in all.
+    """
+    n = len(keys)
+    s = keys + keys
+    fail = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        sj = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and sj != s[k]:
+            if sj < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 def class_rep(w):
@@ -177,22 +211,24 @@ def class_rep(w):
     rotation of w itself, -1 if it comes from the inverse.  The two
     rotation sets never meet (no free-group element is conjugate to its
     own inverse), so the sign is well defined.
+
+    Linear time: Booth's least-rotation scan (see _least_rotation) runs
+    once over the integer letter keys of w and once over those of its
+    inverse, and the smaller of the two rotations wins.
     """
     if not is_cyclically_reduced(w):
         raise ValueError("class_rep requires a cyclically reduced word")
-    best = None
-    best_key = None
-    best_sign = 1
-    for cand, sign in ((w, 1), (invert(w), -1)):
-        L = cand.letters
-        for i in range(len(L)):
-            rot = L[i:] + L[:i]
-            key = tuple(letter_key(x) for x in rot)
-            if best_key is None or key < best_key:
-                best, best_key, best_sign = rot, key, sign
-    if best is None:
+    L = w.letters
+    if not L:
         return w, 1
-    return Word(best, w.rank), best_sign
+    keys = [letter_key(x) for x in L]
+    inv_keys = [letter_key(-x) for x in reversed(L)]
+    i = _least_rotation(keys)
+    j = _least_rotation(inv_keys)
+    if inv_keys[j:] + inv_keys[:j] < keys[i:] + keys[:i]:
+        inv = tuple(-x for x in reversed(L))
+        return Word(inv[j:] + inv[:j], w.rank), -1
+    return Word(L[i:] + L[:i], w.rank), 1
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +332,7 @@ def canonicalize(chain):
         core, _ = cyclic_reduce(t.word)
         if len(core) == 0:
             continue
-        root, k = primitive_root(core)
+        root, k = _cyclic_root(core)
         rep, sign = class_rep(root)
         buckets[rep] = buckets.get(rep, qq(0)) + t.coefficient * k * sign
     terms = [ChainTerm(c, w) for w, c in buckets.items() if c != 0]

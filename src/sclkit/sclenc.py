@@ -374,9 +374,9 @@ def decode_certificate(encoding, result):
     rectangle counts, dummy sides are paired off deterministically, and
     pieces merge along them into polygons.  The boundary is traced into
     circles, and the rectangles become the bands of a band surface over
-    them, which surfcert checks: its chi (counted by corner orbits and by
-    cells) must equal the pieces' chi and the LP optimum, and its boundary
-    must be N times the encoded chain; any disagreement raises
+    them, which surfcert checks: its chi (counted by corner orbits) must
+    equal the pieces' chi and the LP optimum, and its boundary must be N
+    times the encoded chain; any disagreement raises
     InvariantViolationError.
     """
     rect_w = result.primal[:len(encoding.rectangles)]

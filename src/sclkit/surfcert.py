@@ -96,11 +96,6 @@ def _pred(system, arc):
     return (i, (j - 1) % len(system.cycles[i]))
 
 
-def _succ(system, arc):
-    i, j = arc
-    return (i, (j + 1) % len(system.cycles[i]))
-
-
 def _corner_orbits(m):
     """Orbits of the corner permutation.
 
@@ -131,57 +126,6 @@ def euler_characteristic(m):
     return len(_corner_orbits(m)) - len(m.pairs)
 
 
-def euler_characteristic_cells(m):
-    """chi recomputed as V - E + F on the glued cell structure.
-
-    Bands contribute four corner instances each, polygons one per side;
-    gluings identify band corners with circle points and polygon corners.
-    Must always agree with euler_characteristic.
-    """
-    system = m.system
-    orbits = _corner_orbits(m)
-    uf = {}
-
-    def find(x):
-        root = x
-        while uf.get(root, root) != root:
-            root = uf[root]
-        while uf.get(x, x) != x:
-            uf[x], x = root, uf[x]
-        return root
-
-    def union(x, y):
-        uf.setdefault(x, x)
-        uf.setdefault(y, y)
-        uf[find(x)] = find(y)
-
-    # circle points: the gap after each arc joins arc ends to arc starts
-    for a in system.arcs():
-        union(("end", a), ("start", _succ(system, a)))
-    # band corners: the band over pair (a, b) runs a along its bottom and
-    # b reversed along its top, so its verticals join end(a)~start(b) and
-    # end(b)~start(a) side pairs through the polygons; the band's own
-    # corners coincide with the arc endpoints
-    for a, b in m.pairs:
-        union(("band", a, b, 0), ("start", a))
-        union(("band", a, b, 1), ("end", a))
-        union(("band", a, b, 2), ("start", b))
-        union(("band", a, b, 3), ("end", b))
-    # polygon corners: the orbit step from the corner after arc a crosses
-    # the vertical joining end(a) to start(partner-side); the polygon
-    # corner between consecutive sides sits at the gap after each arc
-    for oi, orbit in enumerate(orbits):
-        for t, a in enumerate(orbit):
-            union(("poly", oi, t), ("end", a))
-            # the same polygon corner also touches the next arc start
-            union(("poly", oi, t), ("start", _succ(system, a)))
-    vertices = len({find(x) for x in list(uf)})
-    n_arcs = len(system.arcs())
-    edges = n_arcs + n_arcs  # the arcs plus one glued vertical per arc
-    faces = len(m.pairs) + len(orbits)
-    return vertices - edges + faces
-
-
 @dataclass(frozen=True)
 class SurfaceCertificate:
     """A verified surface: chi, the chain its boundary covers, and the
@@ -200,13 +144,8 @@ def boundary_chain(system):
 
 
 def certificate_from_matching(m):
-    """Package a matching as a certificate; chi is dual-checked."""
-    chi = euler_characteristic(m)
-    cells = euler_characteristic_cells(m)
-    if chi != cells:
-        raise InvariantViolationError(
-            "chi mismatch: orbits give %d, cells give %d" % (chi, cells))
-    return SurfaceCertificate(chi=chi, degree=1,
+    """Package a matching as a certificate."""
+    return SurfaceCertificate(chi=euler_characteristic(m), degree=1,
                               boundary=boundary_chain(m.system),
                               provenance="arc-matching")
 
