@@ -9,16 +9,16 @@ band-surface certificates with exact Euler characteristics.
 __version__ = "0.1.0"
 
 from .errors import (ChainSyntaxError, InvariantViolationError,
-                     NotBoundaryError, NumericalMarginError,
-                     RankMismatchError, ResourceLimitError, SclError)
+                     NotBoundaryError, RankMismatchError,
+                     ResourceLimitError, SclError)
 from .freegroup import (Chain, ChainTerm, Word, add_chains, canonicalize,
                         chain_of, chains_equal, concat, invert, invert_chain,
                         make_word, scale_chain, single_chain, with_rank, word)
 from .chainexpr import format_chain, format_word, parse_chain, parse_word
 from .sclenc import build_lp, decode_certificate, scl, solve_chain
-from .rotation import (Mobius, PTRep, classify, defect_probe,
-                       punctured_torus_rep, rot, rot_chain, rot_element,
-                       turning_number, turning_number_chain)
+from .rotation import (PTRep, defect_probe, punctured_torus_rep, rot,
+                       rot_chain, rot_element, turning_number,
+                       turning_number_chain)
 from .surfcert import (ArcSystem, Matching, SurfaceCertificate, arc_system,
                        boundary_chain, certificate_from_matching,
                        euler_characteristic, extremality_ratio, matching,
@@ -27,4 +27,4 @@ from .surfcert import (ArcSystem, Matching, SurfaceCertificate, arc_system,
 from .immersion import (BOUNDARY_CLASS, CriterionReport, ScanReport,
                         StabilizationReport, bounds_immersed,
                         corollary_check, minimal_stabilization,
-                        orientation_pair, scan_conjecture)
+                        scan_conjecture)

@@ -16,8 +16,7 @@ import time
 from . import immersion, rotation, sclenc, surfcert
 from .chainexpr import format_chain, format_word, parse_chain, parse_word
 from .errors import (ChainSyntaxError, InvariantViolationError,
-                     NotBoundaryError, NumericalMarginError,
-                     RankMismatchError, ResourceLimitError)
+                     NotBoundaryError, RankMismatchError, ResourceLimitError)
 from .rational import fmt, qq
 
 SOFT_BUDGET_SECONDS = 60.0
@@ -306,7 +305,7 @@ def main(argv=None):
     except ResourceLimitError as err:
         print("error: %s" % err, file=sys.stderr)
         return 4
-    except (InvariantViolationError, NumericalMarginError) as err:
+    except InvariantViolationError as err:
         print("error: %s" % err, file=sys.stderr)
         return 5
     elapsed = time.perf_counter() - start

@@ -27,9 +27,5 @@ class ResourceLimitError(SclError):
     """A computation exceeded a configured size, node, or pivot cap."""
 
 
-class NumericalMarginError(SclError):
-    """A floating point quantity fell too close to a rounding cut."""
-
-
 class InvariantViolationError(SclError):
     """An internal consistency check failed; results cannot be trusted."""

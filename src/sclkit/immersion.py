@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import rotation, sclenc
 from .errors import InvariantViolationError, NotBoundaryError, RankMismatchError
 from .freegroup import (Chain, ChainTerm, add_chains, canonicalize, concat,
-                        invert, invert_chain, make_word, require_boundary,
+                        invert, make_word, require_boundary,
                         scale_chain, single_chain, with_rank, word,
                         word_exponents, word_power)
 from .rational import QQ, qq
@@ -81,8 +81,9 @@ def _commutator_word(w):
 def bounds_immersed(chain, max_letters=24, max_pivots=10 ** 6):
     """Exact test of scl(C) = rot(C)/2 for a homologically trivial chain.
 
-    Signed equality: a chain with rot < 0 fails here and its orientation
-    reversal is the one to test (see orientation_pair).
+    Signed equality: inverting every word negates rot and preserves scl,
+    so a chain with rot < 0 fails here and its orientation reversal is
+    the one to test.
     """
     canon = canonicalize(_as_rank2(chain))
     require_boundary(canon)
@@ -92,17 +93,6 @@ def bounds_immersed(chain, max_letters=24, max_pivots=10 ** 6):
         raise InvariantViolationError(
             "scl = %s below the rotation bound %s/2" % (s, r))
     return CriterionReport(canon, s, r, 2 * s == r)
-
-
-def orientation_pair(chain, max_letters=24, max_pivots=10 ** 6):
-    """Criterion reports for the chain and its orientation reversal.
-
-    Inverting every word negates rot and preserves scl, so exactly one
-    orientation can satisfy the signed equality when rot is nonzero.
-    """
-    plus = bounds_immersed(chain, max_letters, max_pivots)
-    minus = bounds_immersed(invert_chain(chain), max_letters, max_pivots)
-    return plus, minus
 
 
 def minimal_stabilization(chain, rmax, max_letters=24, max_pivots=10 ** 6):

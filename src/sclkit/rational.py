@@ -1,6 +1,6 @@
 """Exact rational scalars.
 
-Uses gmpy2.mpq when it is installed (an optional extra) and
+Uses gmpy2.mpq when it is installed (an optional dependency) and
 fractions.Fraction otherwise.  Both keep values in lowest terms with a
 positive denominator and expose .numerator / .denominator, which is all
 the rest of the package needs.

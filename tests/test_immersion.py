@@ -5,11 +5,11 @@ import pytest
 from sclkit.chainexpr import parse_chain, parse_word
 from sclkit.errors import (InvariantViolationError, NotBoundaryError,
                            RankMismatchError)
-from sclkit.freegroup import add_chains, chains_equal, single_chain, word
+from sclkit.freegroup import (add_chains, chains_equal, invert_chain,
+                              single_chain, word)
 from sclkit.immersion import (BOUNDARY_CLASS, CriterionReport,
                               bounds_immersed, corollary_check,
-                              minimal_stabilization, orientation_pair,
-                              scan_conjecture)
+                              minimal_stabilization, scan_conjecture)
 from sclkit.rational import qq
 from sclkit.sclenc import scl
 from sclkit.rotation import rot
@@ -55,7 +55,8 @@ def test_criterion_rank1_embeds():
 
 def test_criterion_is_signed():
     # the reversed orientation has rot = -1 and cannot satisfy equality
-    plus, minus = orientation_pair(parse_chain("abAB").chain)
+    c = parse_chain("abAB").chain
+    plus, minus = bounds_immersed(c), bounds_immersed(invert_chain(c))
     assert plus.bounds_immersed or minus.bounds_immersed
     assert not (plus.bounds_immersed and minus.bounds_immersed)
     assert plus.scl == minus.scl == qq(1, 2)

@@ -1,4 +1,5 @@
-"""Package structure: imports run at module level, and never in a cycle."""
+"""Package structure: imports run at module level, never in a cycle, and
+no floating point reaches a computed value."""
 
 import ast
 import pathlib
@@ -68,3 +69,24 @@ def test_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name)
+
+
+def test_no_floating_point():
+    # cli.py keeps its wall-clock timing and soft budget; every other
+    # module computes with ints and rationals only
+    found = []
+    for name, tree in parsed_modules().items():
+        if name == "cli":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append("%s.py:%d float literal" % (name, node.lineno))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "math"
+                  and node.attr not in ("gcd", "lcm")):
+                found.append("%s.py:%d math.%s" % (name, node.lineno,
+                                                   node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found.append("%s.py:%d from math import" % (name, node.lineno))
+    assert found == []

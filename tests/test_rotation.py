@@ -1,4 +1,4 @@
-"""Rotation numbers: hyperbolic holonomy, lifts, and the turning oracle."""
+"""Rotation numbers: exact integer holonomy, and the turning oracle."""
 
 import math
 
@@ -7,10 +7,10 @@ import pytest
 from sclkit.chainexpr import parse_chain, parse_word
 from sclkit.errors import (InvariantViolationError, NotBoundaryError,
                            RankMismatchError)
-from sclkit.freegroup import (concat, invert, single_chain, word, word_power)
+from sclkit.freegroup import (chain_of, concat, cyclic_reduce, invert,
+                              make_word, word, word_exponents, word_power)
 from sclkit.rational import qq
-from sclkit.rotation import (Mobius, PTRep, classify, defect_probe,
-                             punctured_torus_rep, rot, rot_chain,
+from sclkit.rotation import (defect_probe, punctured_torus_rep, rot,
                              rot_element, turning_number,
                              turning_number_chain)
 
@@ -21,48 +21,34 @@ def rep():
     return punctured_torus_rep()
 
 
-def test_mobius_validation():
-    with pytest.raises(ValueError):
-        Mobius(1.0, 1.0, 1.0, 1.0)  # det 0
-    m = Mobius(2.0, 0.0, 0.0, 0.5)
-    assert m.trace() == 2.5
-    assert m.apply(1.0) == 4.0
-    assert m.apply(-0.0) == 0.0
+def product(r, w):
+    """The exact SL(2, Z) matrix of a word, as (a, b, c, d)."""
+    m = (1, 0, 0, 1)
+    for letter in w.letters:
+        a, b, c, d = m
+        p, q, s, t = r.matrices[letter]
+        m = (a * p + b * s, a * q + b * t, c * p + d * s, c * q + d * t)
+    return m
 
 
-def test_mobius_compose_inverse():
-    m = Mobius(2.0, 1.0, 1.0, 1.0)
-    ident = m.compose(m.inverse())
-    assert abs(ident.a - 1.0) < 1e-12 and abs(ident.d - 1.0) < 1e-12
-    assert abs(ident.b) < 1e-12 and abs(ident.c) < 1e-12
-
-
-def test_mobius_pole_maps_to_infinity():
-    m = Mobius(2.0, 1.0, 1.0, 1.0)
-    assert m.apply(-1.0) == math.inf
-
-
-def test_classify():
-    assert classify(Mobius(2.0, 0.0, 0.0, 0.5)) == "hyperbolic"
-    assert classify(Mobius(1.0, 1.0, 0.0, 1.0)) == "parabolic"
-    assert classify(Mobius(0.0, -1.0, 1.0, 0.0)) == "elliptic"
+def trace(r, w):
+    m = product(r, w)
+    return m[0] + m[3]
 
 
 def test_holonomy_traces():
     r = rep()
-    ta = r.matrices[1].trace()
-    tb = r.matrices[2].trace()
-    tab = r.matrix_of(word("ab")).trace()
-    assert abs(ta - 3.0) < 1e-9
-    assert abs(tb - 3.0) < 1e-9
-    assert abs(tab - 4.0) < 1e-9
-    # tr[A,B] = ta^2 + tb^2 + tab^2 - ta*tb*tab - 2 = -4: the boundary
-    # class is hyperbolic, so every nontrivial element acts hyperbolically
-    tcomm = r.matrix_of(word("abAB")).trace()
-    assert abs(tcomm + 4.0) < 1e-8
-    assert classify(r.matrix_of(word("a"))) == "hyperbolic"
-    assert classify(r.matrix_of(word("ab"))) == "hyperbolic"
-    assert classify(r.matrix_of(word("abAB"))) == "hyperbolic"
+    for letter, m in r.matrices.items():
+        a, b, c, d = m
+        assert a * d - b * c == 1, letter
+        assert product(r, make_word((letter, -letter), 2)) == (1, 0, 0, 1)
+    assert trace(r, word("a")) == 3
+    assert trace(r, word("b", 2)) == 3
+    assert trace(r, word("ab")) == 3
+    # tr[A,B] = ta^2 + tb^2 + tab^2 - ta*tb*tab - 2 = -2: the boundary
+    # class is parabolic, a cusp, and the Markov triple is (3, 3, 3)
+    assert trace(r, word("abAB")) == -2
+    assert trace(r, word("baBA")) == -2
 
 
 def test_no_elliptic_words():
@@ -73,17 +59,20 @@ def test_no_elliptic_words():
         w = random_word(rng, 2, 9)
         if len(w) == 0:
             continue
-        assert classify(r.matrix_of(w)) != "elliptic", str(w)
+        assert abs(trace(r, w)) >= 2, str(w)
 
 
 def test_rot_element_pins():
     r = rep()
     assert rot_element(r, word("abAB")) == 1
     assert rot_element(r, word("baBA")) == -1
-    assert rot_element(r, word("ab")) == 1
+    # single unbalanced words depend on the marking: the float Q(sqrt 5)
+    # holonomy gave ab = 1, b = 1, aB = -1, and old - new is the exponent
+    # sum of b, a homomorphism, so chains keep their values
+    assert rot_element(r, word("ab")) == 0
     assert rot_element(r, word("a", 2)) == 0
-    assert rot_element(r, word("b")) == 1
-    assert rot_element(r, word("aB")) == -1
+    assert rot_element(r, word("b")) == 0
+    assert rot_element(r, word("aB")) == 0
     assert rot_element(r, word("aA")) == 0
 
 
@@ -138,18 +127,6 @@ def test_rot_conjugacy_invariance():
         assert rot_element(r, conj) == rot_element(r, w)
 
 
-def test_rot_lift_choice_independence():
-    # changing the integer lift of a generator shifts single letters but
-    # cancels on homologically trivial chains
-    r = rep()
-    for extra in ({1: 1}, {2: -2}, {1: 3, 2: 5}):
-        assert rot_element(r, word("a", 2), extra) \
-            == rot_element(r, word("a", 2)) + extra.get(1, 0)
-        for expr in ("abAB", "2*abAB + ab - a - b", "abABAbaB"):
-            c = parse_chain(expr).chain
-            assert rot_chain(r, c, extra) == rot_chain(r, c)
-
-
 def test_defect_probe():
     assert defect_probe(samples=500) == 1
 
@@ -199,7 +176,6 @@ def test_turning_matches_dynamical_on_commutator_words():
 
 def test_turning_matches_dynamical_on_random_balanced_words():
     r = rep()
-    from sclkit.freegroup import cyclic_reduce, word_exponents
     rng = seeded(404)
     found = 0
     while found < 60:
@@ -213,3 +189,65 @@ def test_turning_matches_dynamical_on_random_balanced_words():
 
 def test_rep_is_cached():
     assert punctured_torus_rep() is punctured_torus_rep()
+
+
+def reduced_word(rng, n):
+    """A random freely reduced rank-2 word of exactly n letters."""
+    letters = [rng.choice((1, 2, -1, -2))]
+    while len(letters) < n:
+        letter = rng.choice((1, 2, -1, -2))
+        if letter != -letters[-1]:
+            letters.append(letter)
+    return make_word(tuple(letters), 2)
+
+
+def commutator(rng, letters):
+    """[u, v] with |u| + |v| = letters / 2."""
+    half = letters // 2
+    n = rng.randint(1, half - 1)
+    u, v = reduced_word(rng, n), reduced_word(rng, half - n)
+    return concat(u, v, invert(u), invert(v))
+
+
+def balanced_word(rng, letters):
+    """A random word with zero exponent sums, reduced cyclically."""
+    k = rng.randint(0, letters // 2)
+    pool = [1, -1] * k + [2, -2] * (letters // 2 - k)
+    rng.shuffle(pool)
+    core, _ = cyclic_reduce(make_word(tuple(pool), 2))
+    return core
+
+
+def test_dynamical_matches_turning_on_long_commutators():
+    # the exact holonomy has no length limit: commutators and sums of two
+    # of 64-2048 letters (log-uniform) against the axis-direction oracle
+    r = rep()
+    rng = seeded(2048)
+    for _ in range(48):
+        letters = round(math.exp(rng.uniform(math.log(64), math.log(2048))))
+        if rng.random() < 0.5:
+            w = commutator(rng, letters)
+            assert rot_element(r, w) == turning_number(w), str(w)
+        else:
+            c = chain_of([(1, commutator(rng, letters // 2)),
+                          (rng.choice((1, -2)),
+                           commutator(rng, letters - letters // 2))], 2)
+            assert rot(c) == turning_number_chain(c)
+
+
+def test_dynamical_matches_turning_on_balanced_words():
+    r = rep()
+    rng = seeded(909)
+    for _ in range(120):
+        w = balanced_word(rng, rng.randint(2, 1024))
+        if len(w) == 0:
+            continue
+        assert not any(word_exponents(w))
+        assert rot_element(r, w) == turning_number(w), str(w)
+
+
+def test_rot_of_long_primitive_word():
+    # 484 letters: far past where float64 holonomy products overflow
+    c = parse_chain("aabbAABB" * 60 + "abAB").chain
+    assert rot(c) == 61
+    assert turning_number_chain(c) == 61
