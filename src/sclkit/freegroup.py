@@ -132,15 +132,22 @@ def is_cyclically_reduced(w):
     return len(L) < 2 or L[0] != -L[-1]
 
 
-def cyclic_reduce(w):
-    """Split w = conjugator * core * conjugator**-1 with core cyclically
-    reduced; returns (core, conjugator)."""
+def _cyclic_core(w):
+    """The cyclically reduced core of w: w itself when it already is
+    cyclically reduced, so no Word is built or validated."""
     L = w.letters
     i, j = 0, len(L)
     while j - i >= 2 and L[i] == -L[j - 1]:
         i += 1
         j -= 1
-    return Word(L[i:j], w.rank), Word(L[:i], w.rank)
+    return w if i == 0 else Word(L[i:j], w.rank)
+
+
+def cyclic_reduce(w):
+    """Split w = conjugator * core * conjugator**-1 with core cyclically
+    reduced; returns (core, conjugator)."""
+    core = _cyclic_core(w)
+    return core, Word(w.letters[:(len(w) - len(core)) // 2], w.rank)
 
 
 def _cyclic_root(core):
@@ -300,13 +307,18 @@ def word_exponents(w):
     return tuple(out)
 
 
-def abelianize(chain):
-    """Coefficient-weighted exponent-sum vector (length = rank)."""
+def _weighted_sum(chain, exponents):
+    """Sum of the terms' exponent vectors weighted by their coefficients."""
     out = [qq(0)] * chain.rank
-    for t in chain.terms:
-        for g, e in enumerate(word_exponents(t.word)):
+    for t, vector in zip(chain.terms, exponents):
+        for g, e in enumerate(vector):
             out[g] += t.coefficient * e
     return tuple(out)
+
+
+def abelianize(chain):
+    """Coefficient-weighted exponent-sum vector (length = rank)."""
+    return _weighted_sum(chain, (word_exponents(t.word) for t in chain.terms))
 
 
 def is_homologically_trivial(chain):
@@ -329,7 +341,7 @@ def canonicalize(chain):
     """
     buckets = {}
     for t in chain.terms:
-        core, _ = cyclic_reduce(t.word)
+        core = _cyclic_core(t.word)
         if len(core) == 0:
             continue
         root, k = _cyclic_root(core)
@@ -346,10 +358,15 @@ def chains_equal(a, b):
 
 
 def require_boundary(chain):
-    if not is_homologically_trivial(chain):
+    """Raise NotBoundaryError unless the chain is homologically trivial;
+    returns the exponent vector of each term, in order."""
+    exponents = tuple(word_exponents(t.word) for t in chain.terms)
+    total = _weighted_sum(chain, exponents)
+    if any(v != 0 for v in total):
         raise NotBoundaryError(
             "chain is not homologically trivial: exponent vector (%s)"
-            % ", ".join(str(v) for v in abelianize(chain)))
+            % ", ".join(str(v) for v in total))
+    return exponents
 
 
 def prepare(chain):
@@ -367,7 +384,7 @@ def prepare(chain):
         c = t.coefficient * scale
         if c == 0:
             continue
-        w, _ = cyclic_reduce(t.word)
+        w = _cyclic_core(t.word)
         if len(w) == 0:
             continue
         if c < 0:

@@ -1,21 +1,38 @@
 """Exact rational linear programming.
 
 Solves min c.x subject to A x = b, x >= 0 with every entry an exact
-rational, via a two-phase simplex.  Pivoting is Dantzig's rule with a
-fallback to Bland's least-index rule after a run of degenerate pivots,
-which keeps the exact-arithmetic termination guarantee without Bland's
-stalling.  The result carries a primal vertex and a dual vector.
+rational, via a two-phase revised simplex (Dantzig and Orchard-Hays
+1954).  Pivoting is Dantzig's rule with a fallback to Bland's
+least-index rule after a run of degenerate pivots, which keeps the
+exact-arithmetic termination guarantee without Bland's stalling.  The
+result carries a primal vertex and a dual vector.
 
-The tableau does integer arithmetic only: each row, and the cost row, is
-a dict of integer numerators over one shared positive denominator, kept
-in the spirit of fraction-free elimination (Bareiss 1968).  A pivot row
-is divided by its pivot entry and reduced by the gcd of its entries;
-every other row r becomes (r * mul - k * pivot row) / (den * mul) with
-mul = D / gcd(f, D) for the pivot row's denominator D and the row's own
-entry f, so a row is rescaled and gcd-reduced only when mul > 1.  Ratio
-tests compare by cross-multiplication.  Rationals (QQ) appear only at the
-boundary: the input is read through .numerator / .denominator and the
-vertex and duals are built as QQ.
+The solver never forms the tableau B^-1 A.  Each row of A is scaled to
+integers and signed so that its rhs is nonnegative, which gives the
+system R x = r; artificial column n+i is the row's scale times the i-th
+unit vector.  The state is the basis inverse B^-1 of that system, one
+sparse integer row per constraint over its own positive denominator,
+kept beside the basic value of the row:
+
+- the entering column B^-1 R_q is a few dot products of those rows with
+  the sparse column R_q;
+- the pivot updates the rows in fraction-free style (Bareiss 1968): the
+  pivot row is divided by its pivot entry and reduced by the gcd of its
+  entries, and every other row r becomes (r * mul - k * pivot row) /
+  (den * mul) with mul = D / gcd(f, D) for the pivot row's denominator D
+  and the row's own entry f, so a row is rescaled and gcd-reduced only
+  when mul > 1;
+- the simplex multipliers u = c_B B^-1 live in one integer vector over a
+  shared denominator and take the update the tableau's cost row would:
+  u += d_q * (new pivot row), for the entering column's reduced cost
+  d_q.  Every reduced cost c_j - u R_j is priced from the sparse rows of
+  R;
+- when phase 2 stops, u scaled back to the rows of A is the dual vector,
+  so no final solve is needed.
+
+Ratio tests compare by cross-multiplication.  Rationals (QQ) appear only
+at the boundary: the input is read through .numerator / .denominator and
+the vertex and duals are built as QQ.
 
 verify() is independent of all this: it checks a claimed optimum by
 strong duality in QQ arithmetic without trusting solver internals.
@@ -104,8 +121,9 @@ def _combine(row, rhs, den, mul, k, src, src_rhs):
             row[c] *= mul
         rhs *= mul
         den *= mul
+    get = row.get
     for c, v in src.items():
-        new = row.get(c, 0) - k * v
+        new = get(c, 0) - k * v
         if new:
             row[c] = new
         else:
@@ -123,68 +141,119 @@ def _sub_rational(row, rhs, den, p, q, src, src_rhs, src_den):
     return _combine(row, rhs, den, e // h, den * p // h, src, src_rhs)
 
 
-class _Tableau:
-    """Integer-row simplex dictionary with artificial columns kept for duals.
+class _Revised:
+    """Basis inverse, basic values and simplex multipliers of R x = r.
 
-    Row i holds the values rows[i][c] / den[i] and rhs[i] / den[i]; the
-    cost row holds cost[c] / cost_den.  Every denominator is positive, so
+    Row i of the basis inverse holds inv[i][k] / den[i] and the basic
+    value rhs[i] / den[i]; the multipliers are u[k] / u_den, scaled by
+    the phase's cost denominator.  Every denominator is positive, so
     signs and comparisons within a row are those of the numerators.
     """
 
     def __init__(self, lp, max_pivots):
-        self.lp = lp
-        self.n = lp.num_vars
-        self.m = lp.num_rows
+        n = self.n = lp.num_vars
+        m = self.m = lp.num_rows
         self.max_pivots = max_pivots
         self.pivots = 0
-        self.signs = []
-        self.rows = []  # list of dict col -> numerator (cols may include artificials)
+        self.rows = []  # rows[i] = [(col, integer entry of R)]
+        self.cols = [[] for _ in range(n)]  # cols[j] = [(row, entry)]
+        self.scale = []  # row i of R is scale[i] times row i of A
+        self.inv = []
         self.rhs = []
         self.den = []
-        self.basis = []  # basis[i] = column basic in row i
-        self.dead = [False] * self.m  # redundant rows dropped after phase 1
+        self.basis = list(range(n, n + m))  # basis[i] = column basic in row i
         for i, row in enumerate(lp.rows):
-            sign = 1 if lp.rhs[i] >= 0 else -1
-            self.signs.append(sign)
             b = lp.rhs[i]
             den = math.lcm(int(b.denominator),
                            *(int(v.denominator) for _, v in row))
-            d = {col: sign * int(v.numerator) * (den // int(v.denominator))
-                 for col, v in row}
-            d[self.n + i] = den  # artificial column
-            self.rows.append(d)
+            sign = 1 if b >= 0 else -1
+            r = []
+            for col, v in row:
+                a = sign * int(v.numerator) * (den // int(v.denominator))
+                r.append((col, a))
+                self.cols[col].append((i, a))
+            self.rows.append(r)
+            self.scale.append(sign * den)
+            self.inv.append({i: 1})
             self.rhs.append(sign * int(b.numerator) * (den // int(b.denominator)))
             self.den.append(den)
-            self.basis.append(self.n + i)
 
-    def pivot(self, r, col):
+    def column(self, col):
+        """Numerators of B^-1 R_col, row i over den[i]."""
+        entries = self.cols[col]
+        out = [0] * self.m
+        for i, row in enumerate(self.inv):
+            total = 0
+            for k, a in entries:
+                f = row.get(k)
+                if f:
+                    total += f * a
+            out[i] = total
+        return out
+
+    def tableau_row(self, i):
+        """Numerators of row i of B^-1 R over den[i], as col -> value."""
+        out = {}
+        for k, f in self.inv[i].items():
+            for col, a in self.rows[k]:
+                out[col] = out.get(col, 0) + f * a
+        return out
+
+    def pivot(self, r, col, entries):
         self.pivots += 1
         if self.pivots > self.max_pivots:
             raise ResourceLimitError("pivot cap exceeded (%d)" % self.max_pivots)
-        row = self.rows[r]
-        if row[col] < 0:
+        row = self.inv[r]
+        p = entries[r]
+        if p < 0:
             for c in row:
                 row[c] = -row[c]
             self.rhs[r] = -self.rhs[r]
+            p = -p
         # dividing by the pivot entry makes it the denominator
-        b, p = _reduce(row, self.rhs[r], row[col])
+        b, p = _reduce(row, self.rhs[r], p)
         self.rhs[r], self.den[r] = b, p
-        for i in range(self.m):
-            if i == r or self.dead[i]:
-                continue
-            other = self.rows[i]
-            f = other.get(col)
-            if f is None:
-                continue
-            g = math.gcd(f, p)
-            self.rhs[i], self.den[i] = _combine(
-                other, self.rhs[i], self.den[i], p // g, f // g, row, b)
-        f = self.cost.get(col)
-        if f is not None:
-            g = math.gcd(f, p)
-            _, self.cost_den = _combine(
-                self.cost, 0, self.cost_den, p // g, f // g, row, 0)
+        for i, f in enumerate(entries):
+            if f and i != r:
+                g = math.gcd(f, p)
+                self.rhs[i], self.den[i] = _combine(
+                    self.inv[i], self.rhs[i], self.den[i], p // g, f // g,
+                    row, b)
         self.basis[r] = col
+
+    def set_cost(self, cost, basic_cost):
+        """Phase objective: integer costs of the columns and of the rows'
+        basic variables, over one shared denominator."""
+        self.cost = cost
+        self.u = {}
+        self.u_den = 1
+        for i, cb in enumerate(basic_cost):
+            if cb:
+                _, self.u_den = _sub_rational(self.u, 0, self.u_den, -cb, 1,
+                                              self.inv[i], 0, self.den[i])
+
+    def price(self, bland):
+        """Entering column and its reduced cost numerator over u_den.
+
+        The most negative reduced cost, ties to the lower column, or
+        under Bland's rule the lowest column with a negative one; basic
+        columns price at exactly zero.  (None, None) when none is
+        negative.
+        """
+        uta = [0] * self.n  # u R
+        for k, f in self.u.items():
+            for col, a in self.rows[k]:
+                uta[col] += f * a
+        u_den = self.u_den
+        d = [c * u_den - x for c, x in zip(self.cost, uta)]
+        if bland:
+            entering = next((col for col, v in enumerate(d) if v < 0), None)
+        else:
+            worst = min(d, default=0)
+            entering = d.index(worst) if worst < 0 else None
+        if entering is None:
+            return None, None
+        return entering, d[entering]
 
     def run(self):
         """Pivot until no original column has negative reduced cost.
@@ -195,37 +264,22 @@ class _Tableau:
         improves.  Any infinite pivot sequence would eventually be all
         degenerate, hence all Bland, and Bland cannot cycle, so the switch
         keeps exact-arithmetic termination while avoiding Bland's stalls.
-        Artificial columns never re-enter the basis; basic columns always
-        have zero reduced cost, so eligibility is just col < num_vars.
-        Ties go to the lower column, and in the ratio test to the row
-        whose basic column is lower.  Returns "optimal" or "unbounded".
+        Artificial columns never re-enter the basis, so only original
+        columns are priced.  Ties go to the lower column, and in the ratio
+        test to the row whose basic column is lower.  Returns "optimal"
+        or "unbounded".
         """
         stall = 0
         while True:
-            entering = None
-            if stall > _STALL_LIMIT:
-                for col, v in self.cost.items():
-                    if v < 0 and col < self.n and (entering is None
-                                                   or col < entering):
-                        entering = col
-            else:
-                worst = None
-                for col, v in self.cost.items():
-                    if v < 0 and col < self.n and (
-                            worst is None or v < worst
-                            or (v == worst and col < entering)):
-                        worst = v
-                        entering = col
+            entering, d = self.price(stall > _STALL_LIMIT)
             if entering is None:
                 return "optimal"
+            entries = self.column(entering)
             # ratios b/a share the row's denominator, and b/a < lb/la
             # iff b*la < lb*a since a, la > 0
             leave = None
-            for i in range(self.m):
-                if self.dead[i]:
-                    continue
-                a = self.rows[i].get(entering)
-                if a is None or a <= 0:
+            for i, a in enumerate(entries):
+                if a <= 0:
                     continue
                 b = self.rhs[i]
                 if leave is None:
@@ -241,19 +295,11 @@ class _Tableau:
                 stall += 1
             else:
                 stall = 0
-            self.pivot(leave, entering)
-
-    def set_phase1_cost(self):
-        # cost of artificials is 1; reduced costs subtract the basic rows
-        cost = {}
-        den = 1
-        for i in range(self.m):
-            _, den = _sub_rational(cost, 0, den, 1, 1, self.rows[i], 0,
-                                   self.den[i])
-        for i in range(self.m):
-            cost.pop(self.n + i, None)
-        self.cost = cost
-        self.cost_den = den
+            u_den = self.u_den
+            self.pivot(leave, entering, entries)
+            # u += d_entering * (new row of B^-1 for the leaving row)
+            _, self.u_den = _sub_rational(self.u, 0, u_den, -d, u_den,
+                                          self.inv[leave], 0, self.den[leave])
 
     def phase1_value(self):
         total = ZERO
@@ -263,31 +309,18 @@ class _Tableau:
         return total
 
     def drive_out_artificials(self):
+        """Pivot each artificial still basic (at value zero) out on the
+        lowest original column of its tableau row.  A row with none is a
+        redundant constraint, 0 = 0: its artificial stays basic at zero,
+        every later entering column is zero in that row, so no pivot
+        touches it, and its multiplier stays zero in phase 2."""
         for i in range(self.m):
-            if self.dead[i] or self.basis[i] < self.n:
+            if self.basis[i] < self.n:
                 continue
-            target = min((col for col in self.rows[i] if col < self.n),
+            target = min((col for col, v in self.tableau_row(i).items() if v),
                          default=None)
-            if target is None:
-                self.dead[i] = True  # redundant constraint, 0 = 0
-            else:
-                self.pivot(i, target)
-
-    def set_phase2_cost(self):
-        c = self.lp.objective
-        den = math.lcm(*(int(v.denominator) for v in c))
-        cost = {j: int(c[j].numerator) * (den // int(c[j].denominator))
-                for j in range(self.n) if c[j] != 0}
-        for i in range(self.m):
-            if self.dead[i] or self.basis[i] >= self.n:
-                continue
-            cb = c[self.basis[i]]
-            if cb != 0:
-                _, den = _sub_rational(cost, 0, den, int(cb.numerator),
-                                       int(cb.denominator), self.rows[i], 0,
-                                       self.den[i])
-        self.cost = cost
-        self.cost_den = den
+            if target is not None:
+                self.pivot(i, target, self.column(target))
 
 
 def solve_min(lp, max_pivots=10 ** 6):
@@ -296,33 +329,33 @@ def solve_min(lp, max_pivots=10 ** 6):
     Raises ResourceLimitError when the pivot cap is hit (reported
     distinctly from infeasibility, which is a normal result status).
     """
-    t = _Tableau(lp, max_pivots)
-    t.set_phase1_cost()
+    t = _Revised(lp, max_pivots)
+    n, m = t.n, t.m
+    # phase 1: each artificial column costs 1
+    t.set_cost([0] * n, [1] * m)
     t.run()  # phase 1 cannot be unbounded
     if t.phase1_value() != 0:
         return LPResult("infeasible", None, None, None, t.pivots)
     t.drive_out_artificials()
-    t.set_phase2_cost()
+    c = lp.objective
+    c_den = math.lcm(*(int(v.denominator) for v in c))
+    cost = [int(v.numerator) * (c_den // int(v.denominator)) for v in c]
+    t.set_cost(cost, [cost[j] if j < n else 0 for j in t.basis])
     status = t.run()
     if status == "unbounded":
         return LPResult("unbounded", None, None, None, t.pivots)
-    x = [ZERO] * t.n
-    for i in range(t.m):
-        if not t.dead[i] and t.basis[i] < t.n:
-            x[t.basis[i]] = QQ(t.rhs[i], t.den[i])
+    x = [ZERO] * n
+    for i, j in enumerate(t.basis):
+        if j < n:
+            x[j] = QQ(t.rhs[i], t.den[i])
     value = ZERO
-    for j in range(t.n):
+    for j in range(n):
         if x[j] != 0:
-            value += lp.objective[j] * x[j]
-    # dual vector: reduced cost of the artificial column n+i equals minus
-    # the simplex multiplier of (sign-adjusted) row i
-    dual = []
-    for i in range(t.m):
-        if t.dead[i]:
-            dual.append(ZERO)
-        else:
-            dual.append(QQ(-t.signs[i] * t.cost.get(t.n + i, 0), t.cost_den))
-    return LPResult("optimal", value, tuple(x), tuple(dual), t.pivots)
+            value += c[j] * x[j]
+    # the multipliers of R x = r, scaled back to the rows of A
+    dual_den = t.u_den * c_den
+    dual = tuple(QQ(t.scale[i] * t.u.get(i, 0), dual_den) for i in range(m))
+    return LPResult("optimal", value, tuple(x), dual, t.pivots)
 
 
 def verify(lp, result):

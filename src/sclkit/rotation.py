@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import (InvariantViolationError, NotBoundaryError,
                      RankMismatchError)
-from .freegroup import (concat, cyclic_reduce, make_word, require_boundary,
+from .freegroup import (_cyclic_core, concat, make_word, require_boundary,
                         word, word_exponents)
 from .rational import qq
 
@@ -124,14 +124,19 @@ def turning_number(w):
     word: a goes east, b north, A west, B south; each cyclically
     consecutive pair turns left (+1), right (-1), or goes straight, and
     the total is four times the winding."""
+    return _turning_number(w, word_exponents(w))
+
+
+def _turning_number(w, exponents):
+    """turning_number(w), given the exponent vector of w (which its
+    cyclic core shares)."""
     for letter in w.letters:
         if abs(letter) > 2:
             raise RankMismatchError(
                 "turning numbers are defined for rank 2 only")
-    core, _ = cyclic_reduce(w)
+    core = _cyclic_core(w)
     if len(core) == 0:
         return 0
-    exponents = word_exponents(core)
     if any(e != 0 for e in exponents[:2]):
         raise NotBoundaryError(
             "turning number needs a closed path; exponents %r"
@@ -154,10 +159,10 @@ def turning_number(w):
 
 def turning_number_chain(chain):
     """Term-by-term turning number; every term must close on its own."""
-    require_boundary(chain)
+    exponents = require_boundary(chain)
     total = qq(0)
-    for term in chain.terms:
-        total += term.coefficient * turning_number(term.word)
+    for term, vector in zip(chain.terms, exponents):
+        total += term.coefficient * _turning_number(term.word, vector)
     return total
 
 

@@ -2,7 +2,7 @@
 
 Every entry is an exact rational and each row a dict col -> value.  The
 pivot rules (Dantzig, the switch to Bland after _STALL_LIMIT degenerate
-pivots, every tie-break) are the ones the integer-row tableau in
+pivots, every tie-break) are the ones the revised simplex in
 sclkit.ratlp must reproduce pivot for pivot.
 """
 

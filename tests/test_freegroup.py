@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sclkit.errors import NotBoundaryError, RankMismatchError
-from sclkit.freegroup import (Chain, Word, abelianize, add_chains,
-                              canonicalize, chain_of, chains_equal, concat,
+from sclkit.freegroup import (Chain, Word, _cyclic_core, abelianize,
+                              add_chains, canonicalize, chain_of,
+                              chains_equal, concat,
                               cyclic_reduce, invert, invert_chain,
                               is_homologically_trivial, letter_from_char,
                               letter_to_char, make_word, primitive_root,
@@ -80,6 +81,9 @@ def test_cyclic_reduce():
     already = word("abAB")
     core, conj = cyclic_reduce(already)
     assert core == already and len(conj) == 0
+    # the core of a cyclically reduced word is the word itself
+    assert _cyclic_core(already) is already
+    assert _cyclic_core(w) == word("b")
 
 
 def test_primitive_root():
@@ -124,8 +128,9 @@ def test_abelianize_and_boundary():
     c = chain_of([(1, word("ab")), (-1, word("a", 2)), (-1, word("b"))], 2)
     assert abelianize(c) == (0, 0)
     assert is_homologically_trivial(c)
-    require_boundary(c)
-    with pytest.raises(NotBoundaryError):
+    # the check hands back each term's exponent vector
+    assert require_boundary(c) == ((1, 1), (1, 0), (0, 1))
+    with pytest.raises(NotBoundaryError, match=r"exponent vector \(1, 1\)"):
         require_boundary(single_chain(word("ab")))
 
 

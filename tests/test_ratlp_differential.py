@@ -1,9 +1,10 @@
-"""Differential test: the integer-row simplex against the Fraction oracle.
+"""Differential test: the exact revised simplex against the Fraction oracle.
 
-sclkit.ratlp.solve_min must take the same pivots as the Fraction-valued
-tableau it replaced (tests/fraction_simplex.py), so its LPResult is equal
-(==) in status, value, vertex, duals and pivot count, and a pivot cap
-raises ResourceLimitError under exactly the same caps.
+sclkit.ratlp.solve_min keeps only the basis inverse and prices from the
+rows of A, but must take the same pivots as the Fraction-valued tableau
+(tests/fraction_simplex.py), so its LPResult is equal (==) in status,
+value, vertex, duals and pivot count, and a pivot cap raises
+ResourceLimitError under exactly the same caps.
 """
 
 from collections import Counter
@@ -99,3 +100,33 @@ def test_scl_encodings_match_oracle():
             solve_min(lp, max_pivots=got.pivots - 1)
         seen += 1
     assert seen >= 100
+
+
+def test_longer_encodings_match_oracle():
+    # eight distinct chains of 7-9 prepared letters, 57-228 pivots each:
+    # long enough for the basis inverse to fill in
+    rng = seeded(9595)
+    seen = 0
+    while seen < 8:
+        enc = sclenc.build_lp(random_trivial_chain(rng, max_letters=9))
+        if sum(len(t.word) for t in enc.chain.terms) < 7:
+            continue
+        got = solve_min(enc.lp)
+        assert got == fraction_simplex.solve_min(enc.lp)
+        with pytest.raises(ResourceLimitError):
+            solve_min(enc.lp, max_pivots=got.pivots - 1)
+        seen += 1
+
+
+def test_duals_of_dropped_and_flipped_rows():
+    # min 3x0 + x1 + x2  s.t.  x0 + x1 = 2,  2x0 + 2x1 = 4 (redundant),
+    # -x1 - x2 = -1 (negative rhs): optimum 4 at (1, 1, 0)
+    lp = linear_program(3, [[(0, 1), (1, 1)], [(0, 2), (1, 2)],
+                            [(1, -1), (2, -1)]], [2, 4, -1], [3, 1, 1])
+    got = solve_min(lp)
+    assert got == fraction_simplex.solve_min(lp)
+    assert got.value == 4 and got.primal == (1, 1, 0)
+    # the redundant row is dropped after phase 1, so its dual is 0; the
+    # flipped row's dual has the sign of the row as given, not as solved
+    assert got.dual == (3, 0, 2)
+    assert ratlp.verify(lp, got)

@@ -158,6 +158,24 @@ def test_turning_number_errors():
         turning_number(word("abc"))
 
 
+def test_turning_number_error_messages():
+    # the whole chain's boundary check comes before any per-term check
+    with pytest.raises(NotBoundaryError,
+                       match=r"not homologically trivial: "
+                             r"exponent vector \(1, 1, 0\)"):
+        turning_number_chain(parse_chain("abc - c").chain)
+    with pytest.raises(NotBoundaryError,
+                       match=r"closed path; exponents \(1, 0\)"):
+        turning_number_chain(parse_chain("ab - a - b").chain)
+    with pytest.raises(RankMismatchError, match="rank 2 only"):
+        turning_number_chain(parse_chain("abABc - c").chain)
+    # the exponents of a conjugated word are those of its cyclic core
+    with pytest.raises(NotBoundaryError,
+                       match=r"closed path; exponents \(0, 2\)"):
+        turning_number(word("abbA"))
+    assert turning_number_chain(parse_chain("abbA - bb").chain) == 0
+
+
 def test_turning_number_chain():
     for expr in ("abAB + aabbAABB", "3*abAB - abABabAB", "2*abABAbaB"):
         c = parse_chain(expr).chain
