@@ -228,8 +228,9 @@ def class_rep(w):
     L = w.letters
     if not L:
         return w, 1
-    keys = [letter_key(x) for x in L]
-    inv_keys = [letter_key(-x) for x in reversed(L)]
+    table = {x: letter_key(x) for x in range(-w.rank, w.rank + 1) if x}
+    keys = [table[x] for x in L]
+    inv_keys = [table[-x] for x in reversed(L)]
     i = _least_rotation(keys)
     j = _least_rotation(inv_keys)
     if inv_keys[j:] + inv_keys[:j] < keys[i:] + keys[:i]:

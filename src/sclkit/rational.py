@@ -1,17 +1,11 @@
-"""Exact rational scalars.
+"""Exact rational scalars: fractions.Fraction, named QQ.
 
-Uses gmpy2.mpq when it is installed (an optional dependency) and
-fractions.Fraction otherwise.  Both keep values in lowest terms with a
-positive denominator and expose .numerator / .denominator, which is all
-the rest of the package needs.
+Values stay in lowest terms with a positive denominator and expose
+.numerator / .denominator, which is all the rest of the package needs.
 """
 
 import math
-
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # gmpy2 is optional; Fraction needs nothing installed
-    from fractions import Fraction as QQ
+from fractions import Fraction as QQ
 
 ZERO = QQ(0)
 ONE = QQ(1)
@@ -34,5 +28,5 @@ def denominator_lcm(values):
     """lcm of the denominators of an iterable of rationals (1 if empty)."""
     out = 1
     for v in values:
-        out = math.lcm(out, int(QQ(v).denominator))
+        out = math.lcm(out, QQ(v).denominator)
     return out

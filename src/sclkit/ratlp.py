@@ -164,18 +164,17 @@ class _Revised:
         self.basis = list(range(n, n + m))  # basis[i] = column basic in row i
         for i, row in enumerate(lp.rows):
             b = lp.rhs[i]
-            den = math.lcm(int(b.denominator),
-                           *(int(v.denominator) for _, v in row))
+            den = math.lcm(b.denominator, *(v.denominator for _, v in row))
             sign = 1 if b >= 0 else -1
             r = []
             for col, v in row:
-                a = sign * int(v.numerator) * (den // int(v.denominator))
+                a = sign * v.numerator * (den // v.denominator)
                 r.append((col, a))
                 self.cols[col].append((i, a))
             self.rows.append(r)
             self.scale.append(sign * den)
             self.inv.append({i: 1})
-            self.rhs.append(sign * int(b.numerator) * (den // int(b.denominator)))
+            self.rhs.append(sign * b.numerator * (den // b.denominator))
             self.den.append(den)
 
     def column(self, col):
@@ -338,8 +337,8 @@ def solve_min(lp, max_pivots=10 ** 6):
         return LPResult("infeasible", None, None, None, t.pivots)
     t.drive_out_artificials()
     c = lp.objective
-    c_den = math.lcm(*(int(v.denominator) for v in c))
-    cost = [int(v.numerator) * (c_den // int(v.denominator)) for v in c]
+    c_den = math.lcm(*(v.denominator for v in c))
+    cost = [v.numerator * (c_den // v.denominator) for v in c]
     t.set_cost(cost, [cost[j] if j < n else 0 for j in t.basis])
     status = t.run()
     if status == "unbounded":

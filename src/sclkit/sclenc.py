@@ -140,14 +140,6 @@ def _dummy_key(start, end):
     return (1, start.term, start.gap, end.term, end.gap)
 
 
-def _side_key(side):
-    """Integer sort key: rectangle sides by (rect, which) first, then
-    dummy sides by (start, end) corner."""
-    if isinstance(side, RealSide):
-        return (0, side.rect, side.which)
-    return _dummy_key(side.start, side.end)
-
-
 def _keyed_piece(kind, keyed):
     """(sort key, PieceVar) from (side, side key) pairs in cyclic order,
     already rotated so that the sequence of side keys is least."""
@@ -366,167 +358,132 @@ def scl(chain, max_letters=24, max_pivots=10 ** 6):
 # ---------------------------------------------------------------------------
 # decoding optimal vertices into surface certificates
 
-def decode_certificate(encoding, result):
-    """Assemble an optimal LP vertex into an explicit surface.
-
-    The vertex is scaled by the lcm N of its denominators (doubled if a
-    self-reverse dummy type has odd integer usage) to integer piece and
-    rectangle counts, dummy sides are paired off deterministically, and
-    pieces merge along them into polygons.  The boundary is traced into
-    circles, and the rectangles become the bands of a band surface over
-    them, which surfcert checks: its chi (counted by corner orbits) must
-    equal the pieces' chi and the LP optimum, and its boundary must be N
-    times the encoded chain; any disagreement raises
-    InvariantViolationError.
-    """
-    rect_w = result.primal[:len(encoding.rectangles)]
-    piece_w = result.primal[len(encoding.rectangles):]
-    n = denominator_lcm(list(rect_w) + list(piece_w))
-    # parity fix: a self-reverse dummy type needs even total usage
-    used = [(w, p) for w, p in zip(piece_w, encoding.pieces) if w]
-    for d in encoding.dummy_types:
-        if d.start == d.end:
-            total = sum(p.sides.count(d) * w * n for w, p in used)
-            if total % 2 != 0:
-                n *= 2
-                break
-    rect_counts = [int(w * n) for w in rect_w]
-    piece_counts = [int(w * n) for w in piece_w]
-    if any(w * n != c for w, c in zip(rect_w, rect_counts)):
+def _integer_counts(encoding, result):
+    """(N, rectangle counts, piece counts): the vertex times the lcm N of
+    its denominators, doubled if a self-reverse dummy type then has odd
+    usage, so that its side instances can pair among themselves."""
+    nrect = len(encoding.rectangles)
+    n = denominator_lcm(result.primal)
+    counts = [w.numerator * n // w.denominator for w in result.primal]
+    used = [(c, p) for c, p in zip(counts[nrect:], encoding.pieces) if c]
+    # safety code, unreached so far: no optimal vertex seen uses a loop dummy
+    if any(sum(p.sides.count(d) * c for c, p in used) % 2
+           for d in encoding.dummy_types if d.start == d.end):
+        n *= 2
+        counts = [2 * c for c in counts]
+    if any(c * w.denominator != w.numerator * n
+           for w, c in zip(result.primal, counts)):
         raise InvariantViolationError("vertex scaling failed")
+    return n, counts[:nrect], counts[nrect:]
 
-    # positions: (piece index, copy, side position)
-    dummy_positions = {}
-    for pi, piece in enumerate(encoding.pieces):
-        if piece_counts[pi] == 0:
-            continue
+
+def _pair_dummies(pieces, piece_counts):
+    """Pair off the dummy side instances (piece, copy, side): the k-th
+    instance of a dummy type in position order with the k-th of its
+    reverse.  Returns the pairing as an involution on instances."""
+    instances = {}  # dummy type -> its instances in position order
+    for pi, piece in enumerate(pieces):
         for copy in range(piece_counts[pi]):
             for j, s in enumerate(piece.sides):
                 if isinstance(s, DummySide):
-                    dummy_positions.setdefault(s, []).append((pi, copy, j))
+                    instances.setdefault(s, []).append((pi, copy, j))
     partner = {}
-    for d, positions in sorted(dummy_positions.items(), key=lambda kv: _side_key(kv[0])):
+    for d, mine in instances.items():
         r = _dummy_reverse(d)
-        if d.start == d.end:
-            if len(positions) % 2 != 0:
+        theirs = instances.get(r, [])
+        if len(theirs) != len(mine):
+            raise InvariantViolationError("unbalanced dummy usage")
+        if d == r:  # a loop pairs among itself (unreached, as above)
+            if len(mine) % 2 != 0:
                 raise InvariantViolationError("odd self-reverse dummy usage")
-            for k in range(0, len(positions), 2):
-                partner[positions[k]] = positions[k + 1]
-                partner[positions[k + 1]] = positions[k]
-        elif _side_key(d) < _side_key(r):
-            other = dummy_positions.get(r, [])
-            if len(other) != len(positions):
-                raise InvariantViolationError("unbalanced dummy usage")
-            for mine, theirs in zip(positions, other):
-                partner[mine] = theirs
-                partner[theirs] = mine
+            mine, theirs = mine[0::2], mine[1::2]
+        elif r < d:
+            continue
+        for a, b in zip(mine, theirs):
+            partner[a] = b
+            partner[b] = a
+    return partner
 
-    # merge piece instances into polygons: cycles of real side instances
-    polygons = []  # list of lists of (pi, copy, j)
-    position_polygon = {}  # real position -> (polygon index, index in cycle)
-    seen = set()
-    for pi, piece in enumerate(encoding.pieces):
+
+def _trace_boundary(encoding, rect_counts, piece_counts, partner):
+    """Trace the boundary into circles: (circles, arc_at), where arc_at
+    maps each letter arc (rect, role, copy) to (circle, position).
+
+    Copy k of a rectangle is glued to the k-th instance of each of its
+    sides in position order.  After the arc of a copy in role p (side 1
+    starts at the corner after p, side 2 after q), the boundary goes on
+    along the real side before that side around their polygon: step back
+    one side in the piece and, while that side is a dummy, jump to its
+    partner and step back again.
+    """
+    pieces, rects = encoding.pieces, encoding.rectangles
+    glued = {}  # real side instance (piece, copy, j) -> (rect, which, copy)
+    used = {}  # RealSide -> its instances so far
+    for pi, piece in enumerate(pieces):
         for copy in range(piece_counts[pi]):
             for j, s in enumerate(piece.sides):
-                if isinstance(s, DummySide) or (pi, copy, j) in seen:
-                    continue
-                cycle = []
-                cur = (pi, copy, j)
-                guard = 0
-                while True:
-                    guard += 1
-                    if guard > 10 ** 7:
-                        raise InvariantViolationError("polygon walk diverged")
-                    cpi, ccopy, cj = cur
-                    side = encoding.pieces[cpi].sides[cj]
-                    if isinstance(side, RealSide):
-                        if cur in seen:
-                            break
-                        seen.add(cur)
-                        cycle.append(cur)
-                        cur = (cpi, ccopy, (cj + 1) % len(encoding.pieces[cpi].sides))
-                    else:
-                        ppi, pcopy, pj = partner[cur]
-                        cur = (ppi, pcopy,
-                               (pj + 1) % len(encoding.pieces[ppi].sides))
-                if cycle:
-                    idx = len(polygons)
-                    polygons.append(cycle)
-                    for k, pos in enumerate(cycle):
-                        position_polygon[pos] = (idx, k)
-
-    # glue real side instances to rectangle side instances: the k-th
-    # instance of side (rect, which) in canonical position order is the
-    # k-th copy of that rectangle
-    side_instances = {}
-    for idx, cycle in enumerate(polygons):
-        for k, pos in enumerate(cycle):
-            side = encoding.pieces[pos[0]].sides[pos[2]]
-            side_instances.setdefault(side, []).append(pos)
-    for side, positions in side_instances.items():
-        positions.sort()
-        if len(positions) != rect_counts[side.rect]:
-            raise InvariantViolationError(
-                "side usage does not match rectangle count")
-    rect_side_positions = {}  # (rect, which, copy) -> position
-    position_rect = {}  # position -> (rect, which, copy)
-    for side, positions in side_instances.items():
-        for copy, pos in enumerate(positions):
-            rect_side_positions[(side.rect, side.which, copy)] = pos
-            position_rect[pos] = (side.rect, side.which, copy)
-
-    # trace the boundary: after the letter arc of rectangle copy (ri, c)
-    # in role p (side 1 starts at the corner after p), the next letter
-    # arc is found on the polygon-predecessor of the glued side instance
-    def successor(ri, role, copy):
-        which = 1 if role == "p" else 2
-        pos = rect_side_positions[(ri, which, copy)]
-        poly, k = position_polygon[pos]
-        prev = polygons[poly][(k - 1) % len(polygons[poly])]
-        ri2, which2, copy2 = position_rect[prev]
-        return (ri2, "q" if which2 == 1 else "p", copy2)
-
-    remaining = {(ri, role, copy)
-                 for ri in range(len(encoding.rectangles))
-                 for copy in range(rect_counts[ri]) for role in ("p", "q")}
-    circles = []
-    arc_at = {}  # (rect, role, copy) -> (circle, position)
-    while remaining:
-        start = min(remaining)
-        letters = []
-        terms = []
-        cur = start
-        while True:
+                if isinstance(s, RealSide):
+                    used[s] = used.get(s, 0) + 1
+                    glued[(pi, copy, j)] = (s.rect, s.which, used[s] - 1)
+    if any(used.get(RealSide(ri, which), 0) != c
+           for ri, c in enumerate(rect_counts) for which in (1, 2)):
+        raise InvariantViolationError(
+            "side usage does not match rectangle count")
+    instance = {g: pos for pos, g in glued.items()}
+    circles, arc_at = [], {}
+    for start in [(ri, role, copy) for ri, c in enumerate(rect_counts)
+                  for role in ("p", "q") for copy in range(c)]:
+        if start in arc_at:
+            continue
+        cur, letters, terms = start, [], set()
+        while cur not in arc_at:
             ri, role, copy = cur
-            rect = encoding.rectangles[ri]
-            slot = rect.p if role == "p" else rect.q
+            slot = rects[ri].p if role == "p" else rects[ri].q
             arc_at[cur] = (len(circles), len(letters))
             letters.append(_letter(encoding.chain, slot))
-            terms.append(slot.term)
-            remaining.discard(cur)
-            cur = successor(*cur)
-            if cur == start:
-                break
-        if len(set(terms)) != 1:
+            terms.add(slot.term)
+            pi, c, j = instance[(ri, 1 if role == "p" else 2, copy)]
+            j = (j - 1) % len(pieces[pi].sides)
+            while isinstance(pieces[pi].sides[j], DummySide):
+                pi, c, j = partner[(pi, c, j)]
+                j = (j - 1) % len(pieces[pi].sides)
+            ri, which, copy = glued[(pi, c, j)]
+            cur = (ri, "q" if which == 1 else "p", copy)
+        if len(terms) != 1:
             raise InvariantViolationError("boundary circle mixes chain terms")
-        word_len = len(encoding.chain.terms[terms[0]].word)
-        if len(letters) % word_len != 0:
+        if len(letters) % len(encoding.chain.terms[terms.pop()].word) != 0:
             raise InvariantViolationError("boundary circle length mismatch")
         circles.append(Word(tuple(letters), encoding.chain.rank))
+    return circles, arc_at
 
-    # the rectangles are the bands of a band surface over the circles:
-    # each rectangle copy joins its p-arc to its q-arc
+
+def decode_certificate(encoding, result):
+    """Assemble an optimal LP vertex into an explicit surface.
+
+    The vertex is scaled to integer piece and rectangle counts, each
+    dummy side instance is paired with one of the reverse type, and the
+    boundary is traced into circles by walking back from each glued side
+    to the previous real side of its polygon.  The rectangles become the
+    bands of a band surface over the circles, which surfcert checks: its
+    chi (counted by corner orbits) must equal the pieces' chi and the LP
+    optimum, and its boundary must be N times the encoded chain, where N
+    is the scaling; any disagreement raises InvariantViolationError.
+    """
+    n, rect_counts, piece_counts = _integer_counts(encoding, result)
+    partner = _pair_dummies(encoding.pieces, piece_counts)
+    circles, arc_at = _trace_boundary(encoding, rect_counts, piece_counts,
+                                      partner)
+    # each rectangle copy is a band joining its p-arc to its q-arc
     system = surfcert.ArcSystem(tuple(circles), encoding.chain.rank)
     bands = surfcert.certificate_from_matching(surfcert.matching(
         system, [(arc_at[(ri, "p", copy)], arc_at[(ri, "q", copy)])
-                 for ri in range(len(encoding.rectangles))
-                 for copy in range(rect_counts[ri])]))
+                 for ri, c in enumerate(rect_counts) for copy in range(c)]))
     target = canonicalize(scale_chain(encoding.chain, n))
     if bands.boundary.terms != target.terms:
         raise InvariantViolationError(
             "decoded boundary does not match %d times the encoded chain" % n)
     chi_formula = -(sum(rect_counts) + len(partner) // 2 - sum(piece_counts))
-    # at an optimal vertex every merged region is a disk, so the two counts agree
+    # at an optimal vertex every polygon is a disk, so the two counts agree
     if bands.chi != chi_formula:
         raise InvariantViolationError(
             "band surface chi %d disagrees with formula chi %d"

@@ -1,6 +1,7 @@
 """Command-line behavior: pinned output, JSON stability, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -214,8 +215,13 @@ def test_exit_code_holonomy_overflow(capsys):
 
 
 def test_module_entry_point():
+    # pytest's pythonpath setting does not reach a child process, so the
+    # child gets the directory that holds this sclkit on its PYTHONPATH
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sclkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "sclkit", "scl", "[a,b]"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "scl = 1/2\n"

@@ -244,6 +244,22 @@ def test_decode_certificate_rejects_tampered_result():
         decode_certificate(enc, dataclasses.replace(res, value=res.value + 1))
     with pytest.raises(InvariantViolationError):
         decode_certificate(enc, dataclasses.replace(res, value=res.value / 2))
+    # one more copy of a piece whose only dummy side is the greater of
+    # its reverse pair, whose reverse no used piece has: that side is
+    # left without a partner
+    enc, res = solve_chain(parse_chain("abAB").chain)
+    nrect = len(enc.rectangles)
+    used = {s for w, p in zip(res.primal[nrect:], enc.pieces) if w
+            for s in p.sides}
+    col = next(col for col, p in enumerate(enc.pieces, nrect)
+               if p.dummy_count() == 1 and all(
+                   DummySide(d.end, d.start) < d
+                   and DummySide(d.end, d.start) not in used
+                   for d in p.sides if isinstance(d, DummySide)))
+    primal = list(res.primal)
+    primal[col] += 1
+    with pytest.raises(InvariantViolationError, match="unbalanced"):
+        decode_certificate(enc, dataclasses.replace(res, primal=tuple(primal)))
 
 
 def test_homogeneity_random():
