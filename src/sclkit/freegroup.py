@@ -392,33 +392,3 @@ def prepare(chain):
             c, w = -c, invert(w)
         terms.append(ChainTerm(c, w))
     return Chain(tuple(terms), chain.rank), qq(scale)
-
-
-# ---------------------------------------------------------------------------
-# combining several words into one with controlled scl
-
-def sum_as_single_word(words):
-    """Join words g_1..g_m into g_1 x_1 g_2 x_1^-1 ... x_{m-1} g_m x_{m-1}^-1
-    using m-1 fresh generators, in rank (rank + m - 1).
-
-    The output is a single word whose scl exceeds scl of the summed chain
-    by exactly (m-1)/2; it is cyclically reduced whenever the inputs are.
-    """
-    if not words:
-        raise ValueError("need at least one word")
-    rank = words[0].rank
-    for g in words:
-        if g.rank != rank:
-            raise RankMismatchError("all words must share one rank")
-        if len(g) == 0:
-            raise ValueError("words must be nonempty")
-        if not is_cyclically_reduced(g):
-            raise ValueError("words must be cyclically reduced")
-    m = len(words)
-    letters = list(words[0].letters)
-    for i, g in enumerate(words[1:], start=1):
-        x = rank + i
-        letters.append(x)
-        letters.extend(g.letters)
-        letters.append(-x)
-    return Word(tuple(letters), rank + m - 1)

@@ -25,8 +25,6 @@ def fmt(value):
 
 
 def denominator_lcm(values):
-    """lcm of the denominators of an iterable of rationals (1 if empty)."""
-    out = 1
-    for v in values:
-        out = math.lcm(out, QQ(v).denominator)
-    return out
+    """lcm of the denominators of an iterable of ints or rationals (1 if
+    empty)."""
+    return math.lcm(*{v.denominator for v in values})

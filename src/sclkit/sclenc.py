@@ -22,34 +22,6 @@ from .rational import ZERO, denominator_lcm, qq
 from .ratlp import LinearProgram, solve_min, verify
 
 
-@dataclass(frozen=True, order=True)
-class LetterSlot:
-    term: int
-    pos: int
-
-
-@dataclass(frozen=True, order=True)
-class CornerSlot:
-    term: int
-    gap: int  # the gap following letter position `gap` (cyclic)
-
-
-@dataclass(frozen=True, order=True)
-class RealSide:
-    """One of the two wedge-point sides of a rectangle (which is 1 or 2)."""
-
-    rect: int
-    which: int
-
-
-@dataclass(frozen=True, order=True)
-class DummySide:
-    """A gluing diagonal between two corner slots (ordered)."""
-
-    start: CornerSlot
-    end: CornerSlot
-
-
 @dataclass(frozen=True)
 class RectangleVar:
     """Pairs slots p, q carrying exactly inverse letters.
@@ -58,55 +30,48 @@ class RectangleVar:
     from the corner after q to the corner before p.
     """
 
-    p: LetterSlot
-    q: LetterSlot
-    s1: tuple  # (start CornerSlot, end CornerSlot)
+    p: tuple  # letter slot (term, pos)
+    q: tuple
+    s1: tuple  # (start corner, end corner), each (term, gap)
     s2: tuple
 
 
 @dataclass(frozen=True)
-class PieceVar:
-    kind: str  # "bigon" or "triangle"
-    sides: tuple  # cyclic, canonical rotation; RealSide or DummySide entries
-
-    def real_count(self):
-        return sum(1 for s in self.sides if isinstance(s, RealSide))
-
-    def dummy_count(self):
-        return sum(1 for s in self.sides if isinstance(s, DummySide))
-
-
-@dataclass(frozen=True)
 class Encoding:
+    """The LP of a prepared chain and the names of its rows and columns.
+
+    A letter slot is (term, pos), and the corner (term, gap) after it is
+    the same tuple.  A real side, one of the two wedge-point sides of a
+    rectangle, is (0, rect, which); a dummy side, a gluing diagonal, is
+    (1, start corner, end corner).  A piece is the tuple of its sides in
+    cyclic order, starting at its least side.  Each tuple is its own sort
+    key: tuples compare entry by entry, so the tag puts every real side
+    before every dummy side, and no key is kept beside them.  The columns
+    are the rectangles, then the pieces, bigons before triangles, each in
+    tuple order; the dummy rows follow dummy_types.
+    """
+
     chain: Chain  # prepared: cyclic words, positive integer coefficients
     scale: object  # rational multiplier that made the input integral
     slots: tuple
     rectangles: tuple
     pieces: tuple
-    dummy_types: tuple  # ordered corner pairs appearing in pieces
+    dummy_types: tuple  # dummy sides appearing in pieces, in tuple order
     lp: LinearProgram
     row_meta: tuple  # ("cover", slot) / ("side", rect, which) / ("dummy", d)
 
 
 def _letter(chain, slot):
-    return chain.terms[slot.term].word.letters[slot.pos]
+    return chain.terms[slot[0]].word.letters[slot[1]]
 
 
 def _slots(chain):
-    out = []
-    for i, t in enumerate(chain.terms):
-        for j in range(len(t.word)):
-            out.append(LetterSlot(i, j))
-    return out
-
-
-def _corner_after(slot):
-    return CornerSlot(slot.term, slot.pos)
+    return [(i, j) for i, t in enumerate(chain.terms)
+            for j in range(len(t.word))]
 
 
 def _corner_before(chain, slot):
-    n = len(chain.terms[slot.term].word)
-    return CornerSlot(slot.term, (slot.pos - 1) % n)
+    return (slot[0], (slot[1] - 1) % len(chain.terms[slot[0]].word))
 
 
 def _check_cyclic_words(chain):
@@ -130,77 +95,57 @@ def enumerate_rectangles(chain):
         for b in by_letter.get(-_letter(chain, p), ()):
             if b > a:
                 q = slots[b]
-                s1 = (_corner_after(p), _corner_before(chain, q))
-                s2 = (_corner_after(q), _corner_before(chain, p))
+                s1 = (p, _corner_before(chain, q))
+                s2 = (q, _corner_before(chain, p))
                 rects.append(RectangleVar(p, q, s1, s2))
     return tuple(rects)
-
-
-def _dummy_key(start, end):
-    return (1, start.term, start.gap, end.term, end.gap)
-
-
-def _keyed_piece(kind, keyed):
-    """(sort key, PieceVar) from (side, side key) pairs in cyclic order,
-    already rotated so that the sequence of side keys is least."""
-    sides, keys = zip(*keyed)
-    return (len(keys), keys), PieceVar(kind, sides)
 
 
 def enumerate_pieces(chain, rectangles=None):
     """All corner-compatible bigons (two rectangle sides) and triangles
     (at least one rectangle side, dummy diagonals for the rest).
 
-    Every side's sort key is computed once and carried beside it; corners
-    are numbered in sorted order, so each dummy side is built once.
+    A piece is the tuple of its sides, real (0, rect, which) or dummy
+    (1, start, end), rotated to start at its least side; the pieces come
+    bigons first, then triangles, each in tuple order, which is the
+    column order of build_lp.  Corners are numbered in sorted order, so
+    each dummy side is built once.
     """
     _check_cyclic_words(chain)
     if rectangles is None:
         rectangles = enumerate_rectangles(chain)
-    corners = sorted({_corner_after(s) for s in _slots(chain)})
+    corners = _slots(chain)  # the corner after each slot, in sorted order
     index = {c: i for i, c in enumerate(corners)}
-    # dummy[i][j]: (DummySide from corner i to corner j, its key)
-    dummy = [[(DummySide(a, b), _dummy_key(a, b)) for b in corners]
-             for a in corners]
-    # real side table: (RealSide, key, start corner, end corner)
-    sides = []
-    for ri, rect in enumerate(rectangles):
-        for which, (a, b) in ((1, rect.s1), (2, rect.s2)):
-            sides.append(
-                (RealSide(ri, which), (0, ri, which), index[a], index[b]))
+    dummy = [[(1, a, b) for b in corners] for a in corners]
+    # real side table: (side, start corner index, end corner index)
+    sides = [((0, ri, which), index[a], index[b])
+             for ri, rect in enumerate(rectangles)
+             for which, (a, b) in ((1, rect.s1), (2, rect.s2))]
     starts = [[] for _ in corners]
     for entry in sides:
-        starts[entry[2]].append(entry)
-    pieces = []
-    for s1, k1, a1, b1 in sides:
+        starts[entry[1]].append(entry)
+    bigons, triangles = [], []
+    for s1, a1, b1 in sides:
         # bigons and 2-real triangles: second side continues from b1
-        for s2, k2, a2, b2 in starts[b1]:
-            if k2 == k1:
+        for s2, a2, b2 in starts[b1]:
+            if s2 == s1:
                 continue  # needs b1 == a1, impossible for cyclic words
-            if b2 == a1 and k1 < k2:
-                pieces.append(_keyed_piece("bigon", ((s1, k1), (s2, k2))))
-            # the keys are distinct and a dummy's exceeds every real one,
-            # so the least rotation starts at the lesser real side
-            tri = ((s1, k1), (s2, k2), dummy[b2][a1])
-            pieces.append(_keyed_piece(
-                "triangle", tri if k1 < k2 else tri[1:] + tri[:1]))
+            if b2 == a1 and s1 < s2:
+                bigons.append((s1, s2))
+            # the sides are distinct and every dummy exceeds every real
+            # side, so the least rotation starts at the lesser real side
+            d = dummy[b2][a1]
+            triangles.append((s1, s2, d) if s1 < s2 else (s2, d, s1))
             # 3-real triangles, s1 strictly minimal to dedupe rotations
-            if k2 > k1:
-                for s3, k3, a3, b3 in starts[b2]:
-                    if b3 == a1 and k3 > k1:
-                        pieces.append(_keyed_piece(
-                            "triangle", ((s1, k1), (s2, k2), (s3, k3))))
+            if s2 > s1:
+                for s3, a3, b3 in starts[b2]:
+                    if b3 == a1 and s3 > s1:
+                        triangles.append((s1, s2, s3))
         # 1-real triangles: both other sides are dummies through corner x
         # (the one real side comes first, so the rotation is least)
         for x in range(len(corners)):
-            pieces.append(_keyed_piece(
-                "triangle", ((s1, k1), dummy[b1][x], dummy[x][a1])))
-    pieces.sort(key=lambda kp: kp[0])
-    return tuple(p for _, p in pieces)
-
-
-def _dummy_reverse(d):
-    return DummySide(d.end, d.start)
+            triangles.append((s1, dummy[b1][x], dummy[x][a1]))
+    return tuple(sorted(bigons) + sorted(triangles))
 
 
 # the few exact values that LP entries and piece costs take
@@ -219,10 +164,12 @@ def build_lp(chain, max_letters=24):
     The rows are assembled in time linear in their nonzeros.  Each row's
     index is fixed up front: one cover row per letter slot, then side
     rows (rect, 1) and (rect, 2), then one row per pair of mutually
-    reverse dummy types, which a dummy side enters with sign +1 when its
-    key is the smaller of the pair and -1 otherwise.  Each rectangle
+    reverse dummy sides, which a dummy side enters with sign +1 when it
+    is the smaller tuple of the pair and -1 otherwise.  Each rectangle
     writes its cover and side entries, and one pass over the pieces, in
     column order, appends each piece's net usage to the rows it touches.
+    Sides are their own keys (see Encoding), so nothing maps them to rows
+    but the dummy pairs' (row, sign).
     """
     prepared, scale = prepare(chain)
     _check_letters(sum(len(t.word) for t in prepared.terms), max_letters)
@@ -232,25 +179,19 @@ def build_lp(chain, max_letters=24):
     nrect = len(rectangles)
     ncover = len(slots)
 
-    by_key = {}  # dummy side key -> dummy type
-    for p in pieces:
-        for s in p.sides:
-            if not isinstance(s, RealSide):
-                by_key.setdefault(_dummy_key(s.start, s.end), s)
-    dummy_types = [by_key[k] for k in sorted(by_key)]
-    dummy_row = {}  # dummy side key -> (row, sign); loops have no row
+    dummy_types = {s for p in pieces for s in p if s[0]}
+    dummy_row = {}  # dummy side -> (row, sign); loops have no row
     meta = [("cover", slot) for slot in slots]
     meta += [("side", ri, which)
              for ri in range(nrect) for which in (1, 2)]
-    for d in dummy_types:
-        key = _dummy_key(d.start, d.end)
-        rkey = _dummy_key(d.end, d.start)
-        if rkey not in by_key:
+    for d in sorted(dummy_types):
+        r = (1, d[2], d[1])
+        if r not in dummy_types:
             raise InvariantViolationError(
                 "dummy type %r lacks its reverse" % (d,))
-        if key < rkey:
-            dummy_row[key] = (len(meta), 1)
-            dummy_row[rkey] = (len(meta), -1)
+        if d < r:
+            dummy_row[d] = (len(meta), 1)
+            dummy_row[r] = (len(meta), -1)
             meta.append(("dummy", d))
 
     rows = [[] for _ in meta]
@@ -269,26 +210,26 @@ def build_lp(chain, max_letters=24):
     for col, p in enumerate(pieces, nrect):
         net = {}
         dummies = 0
-        for s in p.sides:
-            if isinstance(s, RealSide):
-                r = ncover + 2 * s.rect + s.which - 1
-                net[r] = net.get(r, 0) - 1
-            else:
+        for s in p:
+            if s[0]:
                 dummies += 1
-                entry = dummy_row.get(_dummy_key(s.start, s.end))
+                entry = dummy_row.get(s)
                 if entry is not None:
                     net[entry[0]] = net.get(entry[0], 0) + entry[1]
+            else:
+                r = ncover + 2 * s[1] + s[2] - 1
+                net[r] = net.get(r, 0) - 1
         for r, v in net.items():
             if v:
                 rows[r].append((col, _NET[v]))
         objective.append(_PIECE_COST[dummies])
 
-    rhs = [qq(prepared.terms[slot.term].coefficient) for slot in slots]
+    rhs = [qq(prepared.terms[term].coefficient) for term, _ in slots]
     rhs += [ZERO] * (len(meta) - ncover)
     lp = LinearProgram(nrect + len(pieces), tuple(map(tuple, rows)),
                        tuple(rhs), tuple(objective))
     return Encoding(prepared, scale, tuple(slots), rectangles, pieces,
-                    tuple(dummy_types), lp, tuple(meta))
+                    tuple(sorted(dummy_types)), lp, tuple(meta))
 
 
 # canonical chain -> (scl, prepared letter count, pivot count), least
@@ -367,8 +308,8 @@ def _integer_counts(encoding, result):
     counts = [w.numerator * n // w.denominator for w in result.primal]
     used = [(c, p) for c, p in zip(counts[nrect:], encoding.pieces) if c]
     # safety code, unreached so far: no optimal vertex seen uses a loop dummy
-    if any(sum(p.sides.count(d) * c for c, p in used) % 2
-           for d in encoding.dummy_types if d.start == d.end):
+    if any(sum(p.count(d) * c for c, p in used) % 2
+           for d in encoding.dummy_types if d[1] == d[2]):
         n *= 2
         counts = [2 * c for c in counts]
     if any(c * w.denominator != w.numerator * n
@@ -384,12 +325,12 @@ def _pair_dummies(pieces, piece_counts):
     instances = {}  # dummy type -> its instances in position order
     for pi, piece in enumerate(pieces):
         for copy in range(piece_counts[pi]):
-            for j, s in enumerate(piece.sides):
-                if isinstance(s, DummySide):
+            for j, s in enumerate(piece):
+                if s[0]:
                     instances.setdefault(s, []).append((pi, copy, j))
     partner = {}
     for d, mine in instances.items():
-        r = _dummy_reverse(d)
+        r = (1, d[2], d[1])
         theirs = instances.get(r, [])
         if len(theirs) != len(mine):
             raise InvariantViolationError("unbalanced dummy usage")
@@ -418,14 +359,14 @@ def _trace_boundary(encoding, rect_counts, piece_counts, partner):
     """
     pieces, rects = encoding.pieces, encoding.rectangles
     glued = {}  # real side instance (piece, copy, j) -> (rect, which, copy)
-    used = {}  # RealSide -> its instances so far
+    used = {}  # real side -> its instances so far
     for pi, piece in enumerate(pieces):
         for copy in range(piece_counts[pi]):
-            for j, s in enumerate(piece.sides):
-                if isinstance(s, RealSide):
+            for j, s in enumerate(piece):
+                if not s[0]:
                     used[s] = used.get(s, 0) + 1
-                    glued[(pi, copy, j)] = (s.rect, s.which, used[s] - 1)
-    if any(used.get(RealSide(ri, which), 0) != c
+                    glued[(pi, copy, j)] = (s[1], s[2], used[s] - 1)
+    if any(used.get((0, ri, which), 0) != c
            for ri, c in enumerate(rect_counts) for which in (1, 2)):
         raise InvariantViolationError(
             "side usage does not match rectangle count")
@@ -441,12 +382,12 @@ def _trace_boundary(encoding, rect_counts, piece_counts, partner):
             slot = rects[ri].p if role == "p" else rects[ri].q
             arc_at[cur] = (len(circles), len(letters))
             letters.append(_letter(encoding.chain, slot))
-            terms.add(slot.term)
+            terms.add(slot[0])
             pi, c, j = instance[(ri, 1 if role == "p" else 2, copy)]
-            j = (j - 1) % len(pieces[pi].sides)
-            while isinstance(pieces[pi].sides[j], DummySide):
+            j = (j - 1) % len(pieces[pi])
+            while pieces[pi][j][0]:  # a dummy side: go on through its partner
                 pi, c, j = partner[(pi, c, j)]
-                j = (j - 1) % len(pieces[pi].sides)
+                j = (j - 1) % len(pieces[pi])
             ri, which, copy = glued[(pi, c, j)]
             cur = (ri, "q" if which == 1 else "p", copy)
         if len(terms) != 1:

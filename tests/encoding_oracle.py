@@ -1,37 +1,51 @@
 """Dict-per-row LP assembly: the oracle for sclkit.sclenc.build_lp.
 
 This is the straightforward encoder that build_lp replaced.  It scans
-every pair of letter slots for rectangles, re-derives side keys on every
-comparison, and fills each side and dummy row by looking every piece up
-in turn, so it is quadratic in the chain length.  build_lp must return an
-equal (==) Encoding: the same LP, rows, pieces and dummy types, in the
-same order.
+every pair of letter slots for rectangles, tries every rotation of each
+piece for the least one, and fills each side and dummy row by looking
+every piece up in turn, so it is quadratic in the chain length.
+build_lp must return an equal (==) Encoding: the same LP, rows, pieces
+and dummy types, in the same order.
 """
 
 from sclkit.errors import InvariantViolationError, ResourceLimitError
 from sclkit.freegroup import prepare
 from sclkit.rational import ZERO, qq
 from sclkit.ratlp import LinearProgram
-from sclkit.sclenc import (CornerSlot, DummySide, Encoding, LetterSlot,
-                           PieceVar, RealSide, RectangleVar)
+from sclkit.sclenc import Encoding, RectangleVar
+
+# slots and corners are (term, pos); sides are (0, rect, which) or
+# (1, start corner, end corner); a piece is the tuple of its sides
+
+
+def _real(rect, which):
+    return (0, rect, which)
+
+
+def _dummy(start, end):
+    return (1, start, end)
+
+
+def _is_dummy(side):
+    return side[0] == 1
 
 
 def _letter(chain, slot):
-    return chain.terms[slot.term].word.letters[slot.pos]
+    return chain.terms[slot[0]].word.letters[slot[1]]
 
 
 def _slots(chain):
-    return [LetterSlot(i, j) for i, t in enumerate(chain.terms)
+    return [(i, j) for i, t in enumerate(chain.terms)
             for j in range(len(t.word))]
 
 
 def _corner_after(slot):
-    return CornerSlot(slot.term, slot.pos)
+    return slot
 
 
 def _corner_before(chain, slot):
-    n = len(chain.terms[slot.term].word)
-    return CornerSlot(slot.term, (slot.pos - 1) % n)
+    n = len(chain.terms[slot[0]].word)
+    return (slot[0], (slot[1] - 1) % n)
 
 
 def enumerate_rectangles(chain):
@@ -47,31 +61,24 @@ def enumerate_rectangles(chain):
     return tuple(rects)
 
 
-def _side_key(side):
-    if isinstance(side, RealSide):
-        return (0, side.rect, side.which)
-    return (1, side.start, side.end)
-
-
 def _piece_key(piece):
-    return (len(piece.sides), tuple(_side_key(s) for s in piece.sides))
+    return (len(piece), piece)
 
 
 def _rotate_min_first(sides):
     best = None
     for i in range(len(sides)):
         rot = sides[i:] + sides[:i]
-        key = tuple(_side_key(s) for s in rot)
-        if best is None or key < best[0]:
-            best = (key, rot)
-    return best[1]
+        if best is None or rot < best:
+            best = rot
+    return best
 
 
 def enumerate_pieces(chain, rectangles):
     sides = []
     for ri, rect in enumerate(rectangles):
-        sides.append((RealSide(ri, 1), rect.s1[0], rect.s1[1]))
-        sides.append((RealSide(ri, 2), rect.s2[0], rect.s2[1]))
+        sides.append((_real(ri, 1), rect.s1[0], rect.s1[1]))
+        sides.append((_real(ri, 2), rect.s2[0], rect.s2[1]))
     corners = sorted({_corner_after(s) for s in _slots(chain)})
     starts = {}
     for entry in sides:
@@ -81,25 +88,22 @@ def enumerate_pieces(chain, rectangles):
         for s2, a2, b2 in starts.get(b1, ()):
             if s2 == s1:
                 continue
-            if b2 == a1 and _side_key(s1) < _side_key(s2):
-                pieces.append(PieceVar("bigon", _rotate_min_first((s1, s2))))
-            pieces.append(PieceVar(
-                "triangle", _rotate_min_first((s1, s2, DummySide(b2, a1)))))
-            if _side_key(s2) > _side_key(s1):
+            if b2 == a1 and s1 < s2:
+                pieces.append(_rotate_min_first((s1, s2)))
+            pieces.append(_rotate_min_first((s1, s2, _dummy(b2, a1))))
+            if s2 > s1:
                 for s3, a3, b3 in starts.get(b2, ()):
-                    if b3 == a1 and _side_key(s3) > _side_key(s1):
-                        pieces.append(PieceVar(
-                            "triangle", _rotate_min_first((s1, s2, s3))))
+                    if b3 == a1 and s3 > s1:
+                        pieces.append(_rotate_min_first((s1, s2, s3)))
         for x in corners:
-            pieces.append(PieceVar(
-                "triangle",
-                _rotate_min_first((s1, DummySide(b1, x), DummySide(x, a1)))))
+            pieces.append(
+                _rotate_min_first((s1, _dummy(b1, x), _dummy(x, a1))))
     pieces.sort(key=_piece_key)
     return tuple(pieces)
 
 
 def _dummy_reverse(d):
-    return DummySide(d.end, d.start)
+    return _dummy(d[2], d[1])
 
 
 def build_lp(chain, max_letters=24):
@@ -113,9 +117,7 @@ def build_lp(chain, max_letters=24):
     slots = _slots(prepared)
     ncols = len(rectangles) + len(pieces)
 
-    dummy_types = sorted(
-        {s for p in pieces for s in p.sides if isinstance(s, DummySide)},
-        key=_side_key)
+    dummy_types = sorted({s for p in pieces for s in p if _is_dummy(s)})
     dummy_set = set(dummy_types)
     for d in dummy_types:
         if _dummy_reverse(d) not in dummy_set:
@@ -131,17 +133,17 @@ def build_lp(chain, max_letters=24):
             if rect.p == slot or rect.q == slot:
                 entries[ri] = qq(1)
         rows.append(entries)
-        rhs.append(qq(prepared.terms[slot.term].coefficient))
+        rhs.append(qq(prepared.terms[slot[0]].coefficient))
         meta.append(("cover", slot))
     usage = []
     for p in pieces:
         u = {}
-        for s in p.sides:
+        for s in p:
             u[s] = u.get(s, 0) + 1
         usage.append(u)
     for ri in range(len(rectangles)):
         for which in (1, 2):
-            side = RealSide(ri, which)
+            side = _real(ri, which)
             entries = {ri: qq(1)}
             for pi, u in enumerate(usage):
                 if side in u:
@@ -151,7 +153,7 @@ def build_lp(chain, max_letters=24):
             meta.append(("side", ri, which))
     for d in dummy_types:
         r = _dummy_reverse(d)
-        if not _side_key(d) < _side_key(r):
+        if not d < r:
             continue
         entries = {}
         for pi, u in enumerate(usage):
@@ -164,7 +166,7 @@ def build_lp(chain, max_letters=24):
 
     objective = [qq(1)] * len(rectangles)
     for p in pieces:
-        objective.append(qq(p.dummy_count() - 2, 2))
+        objective.append(qq(sum(map(_is_dummy, p)) - 2, 2))
 
     lp = LinearProgram(
         ncols,

@@ -11,8 +11,7 @@ from sclkit.freegroup import (Chain, Word, _cyclic_core, abelianize,
                               is_homologically_trivial, letter_from_char,
                               letter_to_char, make_word, primitive_root,
                               require_boundary, scale_chain, single_chain,
-                              sum_as_single_word, with_rank, word,
-                              word_exponents, word_power)
+                              with_rank, word, word_exponents, word_power)
 from sclkit.rational import qq
 
 letters_st = st.lists(st.sampled_from([-2, -1, 1, 2]), max_size=14)
@@ -141,16 +140,3 @@ def test_chain_algebra():
     assert chains_equal(invert_chain(invert_chain(c)), c)
     with pytest.raises(RankMismatchError):
         add_chains(single_chain(word("a")), single_chain(word("ab")))
-
-
-def test_sum_as_single_word():
-    joined = sum_as_single_word([word("abAB"), word("abAB")])
-    assert str(joined) == "abABcabABC"
-    assert joined.rank == 3
-    with pytest.raises(ValueError):
-        sum_as_single_word([word("abAB"), word("aA", 2)])
-
-
-def test_sum_as_single_word_requires_cyclic_reduction():
-    with pytest.raises(ValueError):
-        sum_as_single_word([word("abA"), word("b")])

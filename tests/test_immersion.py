@@ -147,8 +147,7 @@ def test_corollary_small_cases():
 
 def test_corollary_matches_joined_word():
     # the insertion word computes scl of the formal sum of its two halves
-    from sclkit.freegroup import sum_as_single_word, word_power
-    joined = sum_as_single_word([word_power(BOUNDARY_CLASS, 1), word("abAB")])
+    joined = word("abABcabABC")  # abAB * c abAB c^-1 in rank 3
     assert scl(single_chain(joined)) == corollary_check(word("abAB"), 1)[0]
 
 

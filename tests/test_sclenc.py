@@ -1,6 +1,9 @@
 """The rectangle-and-polygon LP encoding and exact scl values."""
 
 import dataclasses
+import importlib.util
+import json
+import pathlib
 from collections import OrderedDict
 
 import pytest
@@ -12,10 +15,8 @@ from sclkit.errors import (InvariantViolationError, NotBoundaryError,
 from sclkit.freegroup import (canonicalize, chain_of, invert, scale_chain,
                               single_chain, word)
 from sclkit.rational import qq
-from sclkit.sclenc import (CornerSlot, DummySide, LetterSlot, PieceVar,
-                           RealSide, build_lp, decode_certificate,
-                           enumerate_pieces, enumerate_rectangles, prepare,
-                           scl, solve_chain)
+from sclkit.sclenc import (build_lp, decode_certificate, enumerate_pieces,
+                           enumerate_rectangles, prepare, scl, solve_chain)
 
 import encoding_oracle
 from conftest import SCL_CORPUS, chain, random_trivial_chain, seeded
@@ -52,8 +53,8 @@ def test_rectangles_abAB():
     rects = enumerate_rectangles(raw("abAB"))
     assert len(rects) == 2
     assert {(r.p, r.q) for r in rects} == {
-        (LetterSlot(0, 0), LetterSlot(0, 2)),
-        (LetterSlot(0, 1), LetterSlot(0, 3)),
+        ((0, 0), (0, 2)),
+        ((0, 1), (0, 3)),
     }
 
 
@@ -67,16 +68,14 @@ def test_rectangles_small_chains():
 def test_pieces_abAB_contains_split_square():
     pieces = enumerate_pieces(raw("abAB"))
     # the optimal surface uses two triangles closing a shared diagonal
-    want1 = frozenset({RealSide(0, 1), RealSide(1, 1),
-                       DummySide(CornerSlot(0, 2), CornerSlot(0, 0))})
-    want2 = frozenset({RealSide(0, 2), RealSide(1, 2),
-                       DummySide(CornerSlot(0, 0), CornerSlot(0, 2))})
-    side_sets = {frozenset(p.sides) for p in pieces}
+    # real sides are (0, rect, which), dummy sides (1, start, end)
+    want1 = frozenset({(0, 0, 1), (0, 1, 1), (1, (0, 2), (0, 0))})
+    want2 = frozenset({(0, 0, 2), (0, 1, 2), (1, (0, 0), (0, 2))})
+    side_sets = {frozenset(p) for p in pieces}
     assert want1 in side_sets
     assert want2 in side_sets
-    assert all(p.kind in ("bigon", "triangle") for p in pieces)
-    assert all(p.real_count() >= 1 for p in pieces)
-    assert all(len(p.sides) in (2, 3) for p in pieces)
+    assert all(any(s[0] == 0 for s in p) for p in pieces)
+    assert all(len(p) in (2, 3) for p in pieces)
 
 
 def test_pieces_annulus_bigon():
@@ -84,9 +83,9 @@ def test_pieces_annulus_bigon():
     prepared, _ = prepare(aA)
     pieces = enumerate_pieces(prepared)
     assert len(pieces) == 7
-    bigons = [p for p in pieces if p.kind == "bigon"]
+    bigons = [p for p in pieces if len(p) == 2]
     assert len(bigons) == 1
-    assert {s.which for s in bigons[0].sides} == {1, 2}
+    assert {s[2] for s in bigons[0]} == {1, 2}
 
 
 def test_pieces_empty_chain():
@@ -101,7 +100,8 @@ def test_build_lp_objective_and_rows():
     # rectangle columns cost 1; a piece costs dummies/2 - 1
     assert enc.lp.objective[:nrect] == (qq(1),) * nrect
     for k, p in enumerate(enc.pieces):
-        assert enc.lp.objective[nrect + k] == qq(p.dummy_count(), 2) - 1
+        dummies = sum(1 for s in p if s[0] == 1)
+        assert enc.lp.objective[nrect + k] == qq(dummies, 2) - 1
     kinds = [meta[0] for meta in enc.row_meta]
     assert kinds.count("cover") == 4
     assert kinds.count("side") == 2 * nrect
@@ -122,6 +122,26 @@ def test_build_lp_matches_oracle():
         if c.is_empty():
             continue
         assert build_lp(c) == encoding_oracle.build_lp(c), c
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_build_lp_matches_pinned_digests():
+    # every encode pin of the benchmark (made at 00087b9) keeps its LP,
+    # checked against a digest rather than against the oracle
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_worker", PERFBENCH / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    pins = json.loads((PERFBENCH / "pins.json").read_text())["encode"]
+    assert len(pins) == 168
+    for pin in pins:
+        c = worker.chain_of_terms(pin["terms"], pin["rank"], canonical=True)
+        lp = build_lp(c).lp
+        assert worker.lp_counts(lp) == {
+            "rows": pin["rows"], "cols": pin["cols"], "nnz": pin["nnz"]}
+        assert worker.lp_digest(lp) == pin["digest"], pin["id"]
 
 
 def test_lp_optimum_examples():
@@ -250,12 +270,11 @@ def test_decode_certificate_rejects_tampered_result():
     enc, res = solve_chain(parse_chain("abAB").chain)
     nrect = len(enc.rectangles)
     used = {s for w, p in zip(res.primal[nrect:], enc.pieces) if w
-            for s in p.sides}
+            for s in p}
     col = next(col for col, p in enumerate(enc.pieces, nrect)
-               if p.dummy_count() == 1 and all(
-                   DummySide(d.end, d.start) < d
-                   and DummySide(d.end, d.start) not in used
-                   for d in p.sides if isinstance(d, DummySide)))
+               if sum(1 for s in p if s[0] == 1) == 1 and all(
+                   (1, d[2], d[1]) < d and (1, d[2], d[1]) not in used
+                   for d in p if d[0] == 1))
     primal = list(res.primal)
     primal[col] += 1
     with pytest.raises(InvariantViolationError, match="unbalanced"):
