@@ -18,6 +18,10 @@ from .rational import QQ, denominator_lcm, qq
 # ---------------------------------------------------------------------------
 # letters
 
+# generators that have a letter: a..z
+_SPELLED = 26
+
+
 def letter_from_char(ch):
     o = ord(ch)
     if ord("a") <= o <= ord("z"):
@@ -28,6 +32,11 @@ def letter_from_char(ch):
 
 
 def letter_to_char(letter):
+    """a..z for the letters 1..26 and A..Z for -1..-26; any other letter
+    has no character and raises ValueError."""
+    if not 0 < abs(letter) <= _SPELLED:
+        raise ValueError("letter %r has no character (at most %d generators "
+                         "are spelled)" % (letter, _SPELLED))
     if letter > 0:
         return chr(ord("a") + letter - 1)
     return chr(ord("A") - letter - 1)
@@ -76,6 +85,9 @@ class Word:
         return "".join(letter_to_char(x) for x in self.letters)
 
     def __repr__(self):
+        # a word over generators past z shows its letters as integers
+        if any(abs(x) > _SPELLED for x in self.letters):
+            return "Word(%r, rank=%d)" % (self.letters, self.rank)
         return "Word(%r, rank=%d)" % (str(self), self.rank)
 
 
@@ -264,7 +276,7 @@ class Chain:
             if t.word.rank != self.rank:
                 raise RankMismatchError(
                     "term %r has rank %d, chain has rank %d"
-                    % (str(t.word), t.word.rank, self.rank))
+                    % (t.word, t.word.rank, self.rank))
 
     def is_empty(self):
         return not self.terms

@@ -30,19 +30,35 @@ kept beside the basic value of the row:
 - when phase 2 stops, u scaled back to the rows of A is the dual vector,
   so no final solve is needed.
 
+Pricing may run in rounds (delayed column generation, Gilmore and Gomory
+1961).  solve_min can be given the columns to price first, the active
+set; by default it is every column.  Within a round only active columns
+are priced, column-wise from the sparse columns of R, under the same
+rules as ever.  When none of them has a negative reduced cost, every
+column is priced once from the rows of R, each negative one joins the
+active set, and the solve goes on.  A phase ends only when such a full
+pricing finds nothing negative, so the final basis is optimal for the
+whole program, not only for the active columns.  The active set only
+grows, and each round is the plain simplex on a fixed set of columns,
+so the solve still terminates.  The pivot count covers every round of
+both phases, drive-out included.  With every column active the pivots
+are exactly those of a solve without rounds.
+
 Ratio tests compare by cross-multiplication.  Rationals (QQ) appear only
 at the boundary: the input is read through .numerator / .denominator and
 the vertex and duals are built as QQ.
 
 verify() is independent of all this: it checks a claimed optimum by
-strong duality in QQ arithmetic without trusting solver internals.
+strong duality, in integers over common denominators, reading only the
+program and the claimed result.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
-from .rational import QQ, ZERO, qq
+from .rational import QQ, ZERO, denominator_lcm, qq
 
 # consecutive degenerate pivots tolerated before switching to Bland's rule
 _STALL_LIMIT = 60
@@ -141,6 +157,15 @@ def _sub_rational(row, rhs, den, p, q, src, src_rhs, src_den):
     return _combine(row, rhs, den, e // h, den * p // h, src, src_rhs)
 
 
+def _entering(d, bland):
+    """Index of the most negative entry of d, ties to the lower index, or
+    under Bland's rule the lowest negative one; None when none is."""
+    if bland:
+        return next((i for i, v in enumerate(d) if v < 0), None)
+    worst = min(d, default=0)
+    return d.index(worst) if worst < 0 else None
+
+
 class _Revised:
     """Basis inverse, basic values and simplex multipliers of R x = r.
 
@@ -148,12 +173,15 @@ class _Revised:
     value rhs[i] / den[i]; the multipliers are u[k] / u_den, scaled by
     the phase's cost denominator.  Every denominator is positive, so
     signs and comparisons within a row are those of the numerators.
+    active is the ascending list of columns priced in a round, or None
+    when every column is.
     """
 
-    def __init__(self, lp, max_pivots):
+    def __init__(self, lp, max_pivots, active):
         n = self.n = lp.num_vars
         m = self.m = lp.num_rows
         self.max_pivots = max_pivots
+        self.active = active
         self.pivots = 0
         self.rows = []  # rows[i] = [(col, integer entry of R)]
         self.cols = [[] for _ in range(n)]  # cols[j] = [(row, entry)]
@@ -231,31 +259,54 @@ class _Revised:
                 _, self.u_den = _sub_rational(self.u, 0, self.u_den, -cb, 1,
                                               self.inv[i], 0, self.den[i])
 
-    def price(self, bland):
-        """Entering column and its reduced cost numerator over u_den.
-
-        The most negative reduced cost, ties to the lower column, or
-        under Bland's rule the lowest column with a negative one; basic
-        columns price at exactly zero.  (None, None) when none is
-        negative.
-        """
+    def reduced_costs(self):
+        """Numerators over u_den of every column's reduced cost c - u R,
+        from the sparse rows of R."""
         uta = [0] * self.n  # u R
         for k, f in self.u.items():
             for col, a in self.rows[k]:
                 uta[col] += f * a
         u_den = self.u_den
-        d = [c * u_den - x for c, x in zip(self.cost, uta)]
-        if bland:
-            entering = next((col for col, v in enumerate(d) if v < 0), None)
-        else:
-            worst = min(d, default=0)
-            entering = d.index(worst) if worst < 0 else None
+        return [c * u_den - x for c, x in zip(self.cost, uta)]
+
+    def price(self, bland):
+        """Entering column and its reduced cost numerator over u_den.
+
+        The most negative reduced cost among the active columns, ties to
+        the lower column, or under Bland's rule the lowest active column
+        with a negative one; basic columns price at exactly zero.  When
+        no active column is negative, every column is priced, the
+        negative ones join the active set, and the rule picks among them.
+        (None, None) when no column at all is negative.
+        """
+        active = self.active
+        if active is not None:
+            u, u_den, cost, cols = self.u, self.u_den, self.cost, self.cols
+            dense = [0] * self.m
+            for k, f in u.items():
+                dense[k] = f
+            d = [cost[col] * u_den - sum([dense[k] * a for k, a in cols[col]])
+                 for col in active]
+            i = _entering(d, bland)
+            if i is not None:
+                return active[i], d[i]
+        d = self.reduced_costs()
+        entering = _entering(d, bland)
         if entering is None:
             return None, None
+        if active is not None:
+            # every active column prices at zero or more, so the rule's
+            # choice over all columns is its choice over the grown set
+            grown = set(active).union(
+                col for col, v in enumerate(d) if v < 0)
+            self.active = sorted(grown) if len(grown) < self.n else None
         return entering, d[entering]
 
     def run(self):
         """Pivot until no original column has negative reduced cost.
+
+        Pricing is in rounds over the active columns (see price), so a
+        phase ends only when a pricing of every column finds nothing.
 
         Entering column: most negative reduced cost, except that after a
         long run of degenerate pivots the rule switches to Bland's
@@ -312,7 +363,8 @@ class _Revised:
         lowest original column of its tableau row.  A row with none is a
         redundant constraint, 0 = 0: its artificial stays basic at zero,
         every later entering column is zero in that row, so no pivot
-        touches it, and its multiplier stays zero in phase 2."""
+        touches it, and its multiplier stays zero in phase 2.  A column
+        made basic here joins the active set."""
         for i in range(self.m):
             if self.basis[i] < self.n:
                 continue
@@ -320,15 +372,29 @@ class _Revised:
                          default=None)
             if target is not None:
                 self.pivot(i, target, self.column(target))
+                if self.active is not None and target not in self.active:
+                    bisect.insort(self.active, target)
 
 
-def solve_min(lp, max_pivots=10 ** 6):
+def solve_min(lp, max_pivots=10 ** 6, active=None):
     """Exact optimum of min objective.x, rows.x = rhs, x >= 0.
 
-    Raises ResourceLimitError when the pivot cap is hit (reported
-    distinctly from infeasibility, which is a normal result status).
+    active, when given, holds the columns priced first; the others are
+    priced only when none of these has a negative reduced cost (see the
+    module docstring).  The optimum found is one of the whole program
+    either way, but it may be another optimal vertex than a solve with
+    every column active, which is the default.  Raises
+    ResourceLimitError when the pivot cap is hit, counting the pivots of
+    every round (reported distinctly from infeasibility, which is a
+    normal result status).
     """
-    t = _Revised(lp, max_pivots)
+    if active is not None:
+        active = sorted(set(active))
+        if active and not (0 <= active[0] and active[-1] < lp.num_vars):
+            raise ValueError("active column out of range")
+        if len(active) == lp.num_vars:
+            active = None
+    t = _Revised(lp, max_pivots, active)
     n, m = t.n, t.m
     # phase 1: each artificial column costs 1
     t.set_cost([0] * n, [1] * m)
@@ -357,38 +423,52 @@ def solve_min(lp, max_pivots=10 ** 6):
     return LPResult("optimal", value, tuple(x), dual, t.pivots)
 
 
+def _numerators(values):
+    """(numerators, D): the values as integers over their least common
+    denominator D."""
+    den = denominator_lcm(values)
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def verify(lp, result):
     """Independent strong-duality check of a claimed optimal result.
 
     True iff the primal vector is feasible, the dual vector is feasible
     for the dual program (A^T y <= c), and both objective values equal
-    the claimed optimum exactly.
+    the claimed optimum exactly.  Reads only lp and result: x, y, b, c
+    and the entries of A are each brought to integers over one common
+    denominator, and every check is an integer comparison.
     """
     if result.status != "optimal":
         return False
     x = result.primal
     y = result.dual
-    if x is None or y is None:
+    value = result.value
+    if x is None or y is None or value is None:
         return False
     if len(x) != lp.num_vars or len(y) != lp.num_rows:
         return False
-    if any(v < 0 for v in x):
+    xs, dx = _numerators(x)
+    if any(v < 0 for v in xs):
         return False
-    yta = [ZERO] * lp.num_vars  # A^T y
-    bty = ZERO
+    ys, dy = _numerators(y)
+    bs, db = _numerators(lp.rhs)
+    cs, dc = _numerators(lp.objective)
+    da = denominator_lcm(a for row in lp.rows for _, a in row)
+    yta = [0] * lp.num_vars  # A^T y, over da * dy
     for i, row in enumerate(lp.rows):
-        total = ZERO
+        total = 0  # row i of A x, over da * dx
+        yi = ys[i]
         for col, a in row:
-            total += a * x[col]
-            yta[col] += y[i] * a
-        if total != lp.rhs[i]:
+            a = a.numerator * (da // a.denominator)
+            total += a * xs[col]
+            yta[col] += yi * a
+        if total * db != bs[i] * da * dx:
             return False
-        bty += y[i] * lp.rhs[i]
-    for j in range(lp.num_vars):
-        if yta[j] > lp.objective[j]:
-            return False
-    ctx = ZERO
-    for j in range(lp.num_vars):
-        if x[j] != 0:
-            ctx += lp.objective[j] * x[j]
-    return ctx == result.value and bty == result.value
+    scale = da * dy
+    if any(t * dc > c * scale for t, c in zip(yta, cs)):
+        return False
+    ctx = sum(c * v for c, v in zip(cs, xs) if v)  # over dc * dx
+    bty = sum(b * v for b, v in zip(bs, ys) if v)  # over db * dy
+    p, q = value.numerator, value.denominator
+    return ctx * q == p * dc * dx and bty * q == p * db * dy

@@ -3,7 +3,10 @@
 Every entry is an exact rational and each row a dict col -> value.  The
 pivot rules (Dantzig, the switch to Bland after _STALL_LIMIT degenerate
 pivots, every tie-break) are the ones the revised simplex in
-sclkit.ratlp must reproduce pivot for pivot.
+sclkit.ratlp must reproduce pivot for pivot when every column is priced.
+
+verify() is the strong-duality check in Fraction arithmetic, the oracle
+for the integer sclkit.ratlp.verify.
 """
 
 from sclkit.errors import ResourceLimitError
@@ -200,3 +203,32 @@ def solve_min(lp, max_pivots=10 ** 6):
         else:
             dual.append(-t.signs[i] * t.cost.get(t.n + i, ZERO))
     return LPResult("optimal", value, tuple(x), tuple(dual), t.pivots)
+
+
+def verify(lp, result):
+    """True iff x >= 0, A x = b, A^T y <= c and c.x = b.y = value, all
+    in Fraction arithmetic."""
+    if result.status != "optimal":
+        return False
+    x = result.primal
+    y = result.dual
+    if x is None or y is None or result.value is None:
+        return False
+    if len(x) != lp.num_vars or len(y) != lp.num_rows:
+        return False
+    if any(v < 0 for v in x):
+        return False
+    yta = [ZERO] * lp.num_vars  # A^T y
+    bty = ZERO
+    for i, row in enumerate(lp.rows):
+        total = ZERO
+        for col, a in row:
+            total += a * x[col]
+            yta[col] += y[i] * a
+        if total != lp.rhs[i]:
+            return False
+        bty += y[i] * lp.rhs[i]
+    if any(t > c for t, c in zip(yta, lp.objective)):
+        return False
+    ctx = sum((c * v for c, v in zip(lp.objective, x)), ZERO)
+    return ctx == result.value and bty == result.value

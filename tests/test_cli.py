@@ -194,6 +194,20 @@ def test_exit_code_resource_limit(capsys):
     assert "pivot cap" in err
 
 
+@pytest.mark.parametrize("expr, cap", [("2*a + 2*BBAA - 2*BBA", 5),
+                                       ("1/2*bbbaBBBAbbbaBBBA", 7)])
+def test_exit_code_resource_limit_pinned_caps(capsys, expr, cap):
+    # The benchmark pins these two commands to exit 4.  No pivot rule can
+    # finish either within its cap: the basis starts all artificial, each
+    # pivot brings in at most one column of A, and once phase 1 and the
+    # drive-out are done the basis holds rank(A) columns of A (43 and 47
+    # here), so every solve needs at least that many pivots.  The solver
+    # takes 95 and 88.
+    code, _, err = run(capsys, "scl", expr, "--max-pivots", str(cap))
+    assert code == 4
+    assert "pivot cap" in err
+
+
 def test_exit_code_invariant_violation(capsys, monkeypatch):
     # force the two rotation computations apart to exercise the guard
     monkeypatch.setattr(sclkit.rotation, "turning_number_chain",

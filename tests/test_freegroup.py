@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sclkit.errors import NotBoundaryError, RankMismatchError
-from sclkit.freegroup import (Chain, Word, _cyclic_core, abelianize,
-                              add_chains, canonicalize, chain_of,
+from sclkit.freegroup import (Chain, ChainTerm, Word, _cyclic_core,
+                              abelianize, add_chains, canonicalize, chain_of,
                               chains_equal, concat,
                               cyclic_reduce, invert, invert_chain,
                               is_homologically_trivial, letter_from_char,
@@ -21,6 +21,26 @@ def test_letter_chars():
     assert letter_from_char("a") == 1 and letter_from_char("A") == -1
     assert letter_from_char("z") == 26 and letter_from_char("Z") == -26
     assert letter_to_char(3) == "c" and letter_to_char(-3) == "C"
+    assert letter_to_char(26) == "z" and letter_to_char(-26) == "Z"
+
+
+def test_letters_past_z_have_no_character():
+    # rank 27: the 27th generator has no character, so a word using it
+    # cannot be spelled (it used to print as '{', which parses as nothing)
+    for letter in (27, -27, 0):
+        with pytest.raises(ValueError):
+            letter_to_char(letter)
+    w = Word((27, 1, -27, -1), 27)
+    with pytest.raises(ValueError):
+        str(w)
+    assert repr(w) == "Word((27, 1, -27, -1), rank=27)"
+    # words over the first 26 generators still spell at any rank
+    low = Word((26, 1, -26, -1), 27)
+    assert str(low) == "zaZA"
+    assert repr(low) == "Word('zaZA', rank=27)"
+    # messages that name such a word still raise their own error
+    with pytest.raises(RankMismatchError, match=r"\(27, 1, -27, -1\)"):
+        Chain((ChainTerm(qq(1), w),), 2)
 
 
 def test_word_reduces_on_construction():

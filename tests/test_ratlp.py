@@ -83,6 +83,25 @@ def test_verify_rejects_perturbations():
     assert not verify(lp, bad_dual)
 
 
+def test_verify_rejects_dual_off_by_one_over_n():
+    # min x1/3 + 2x2/5 + x3  s.t.  x1/2 + x2 = 3/4,  x2/3 + x3 = 1/7 has
+    # the optimum 27/70 at (9/14, 3/7, 0) with duals (2/3, -4/5); no rhs
+    # is zero, so moving either dual by 1/N moves b.y off the optimum
+    lp = linear_program(3, [[(0, qq(1, 2)), (1, 1)], [(1, qq(1, 3)), (2, 1)]],
+                        [qq(3, 4), qq(1, 7)], [qq(1, 3), qq(2, 5), 1])
+    res = solve_min(lp)
+    assert verify(lp, res)
+    assert all(v.denominator > 1 for v in res.dual + (res.value,))
+    for n in (1, 2, 3, 7, 10 ** 6, 10 ** 40):
+        for i in range(lp.num_rows):
+            for delta in (qq(1, n), -qq(1, n)):
+                dual = list(res.dual)
+                dual[i] += delta
+                claim = LPResult(res.status, res.value, res.primal,
+                                 tuple(dual), res.pivots)
+                assert not verify(lp, claim), (n, i, delta)
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         LinearProgram(2, ((((0, qq(1)), (0, qq(1))),)), (qq(1),), (qq(1), qq(1)))
