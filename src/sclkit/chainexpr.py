@@ -1,10 +1,10 @@
 """Parsing and formatting of chain expressions.
 
 Grammar:
-    chain  := [sign] term ((\'+\'|\'-\') term)*
-    term   := [coeff [\'*\']] factor+
-    coeff  := int [\'/\' int]
-    factor := letters | \'[\' word \',\' word \']\' | factor \'^\' int
+    chain  := [sign] term (('+'|'-') term)*
+    term   := [coeff ['*']] factor+
+    coeff  := int ['/' int]
+    factor := letters | '[' factor+ ',' factor+ ']' | factor '^' ['-'] int
 
 Lowercase letters are the generators a..z in order, uppercase letters
 their inverses; a letters run is a single factor, so "ab^2" means
@@ -12,6 +12,7 @@ their inverses; a letters run is a single factor, so "ab^2" means
 in canonical form; the ambient rank is the largest generator mentioned.
 """
 
+import re
 from dataclasses import dataclass
 
 from .errors import ChainSyntaxError
@@ -19,158 +20,109 @@ from .freegroup import (Chain, ChainTerm, Word, canonicalize, letter_from_char,
                         letter_to_char, reduce_letters)
 from .rational import QQ, qq
 
-_SYMBOLS = "+-*/[],^"
+# a number, a run of letters, a symbol, or any other non-space character
+_TOKEN = re.compile(r"(\d+)|([a-zA-Z]+)|([-+*/\[\],^])|(\S)")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num", "letters", or one of the symbol characters
-    text: str
-    pos: int
+def _fail(message, tok):
+    raise ChainSyntaxError(message, tok[2])
 
 
-def _tokenize(text):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("num", text[i:j], i))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            tokens.append(Token("letters", text[i:j], i))
-            i = j
-        elif ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, i))
-            i += 1
-        else:
-            raise ChainSyntaxError("unexpected character %r" % ch, i)
-    return tokens
+def _inverse(letters):
+    return [-x for x in reversed(letters)]
 
 
 class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
+    """Recursive descent over (kind, text, offset) tokens, where kind is
+    "num", "letters" or the symbol itself; an "end" token at the text's
+    length closes the list."""
+
+    def __init__(self, text, what):
+        self.tokens = []
+        for m in _TOKEN.finditer(text):
+            num, letters, symbol, other = m.groups()
+            if other is not None:
+                raise ChainSyntaxError("unexpected character %r" % other,
+                                       m.start())
+            kind = "num" if num else "letters" if letters else symbol
+            self.tokens.append((kind, m.group(), m.start()))
+        if not self.tokens:
+            raise ChainSyntaxError("empty %s expression" % what, 0)
+        self.tokens.append(("end", "", len(text)))
         self.i = 0
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        return self.tokens[self.i]
 
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
+    def take(self, *kinds):
+        """Consume and return the next token if its kind is one of kinds."""
+        tok = self.tokens[self.i]
+        if tok[0] in kinds:
             self.i += 1
-        return tok
-
-    def fail(self, message, tok=None):
-        pos = tok.pos if tok is not None else len(self.text)
-        raise ChainSyntaxError(message, pos)
+            return tok
+        return None
 
     def expect(self, kind, what):
-        tok = self.next()
-        if tok is None or tok.kind != kind:
-            self.fail("expected %s" % what, tok)
+        tok = self.take(kind)
+        if tok is None:
+            _fail("expected %s" % what, self.peek())
         return tok
 
-    # chain := [sign] term ((\'+\'|\'-\') term)*
-    def parse_chain_terms(self):
-        terms = []
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok.kind in "+-":
-            self.next()
-            sign = -1 if tok.kind == "-" else 1
-        terms.append(self.parse_term(sign))
-        while True:
-            tok = self.peek()
-            if tok is None:
-                return terms
-            if tok.kind not in "+-":
-                self.fail("expected '+' or '-'", tok)
-            self.next()
-            terms.append(self.parse_term(-1 if tok.kind == "-" else 1))
+    def terms(self):
+        """chain := [sign] term (('+'|'-') term)*"""
+        terms = [self.term(self.take("+", "-"))]
+        while self.peek()[0] != "end":
+            sign = self.take("+", "-")
+            if sign is None:
+                _fail("expected '+' or '-'", self.peek())
+            terms.append(self.term(sign))
+        return terms
 
-    # term := [coeff [\'*\']] factor+
-    def parse_term(self, sign):
-        coeff = qq(sign)
-        tok = self.peek()
-        if tok is not None and tok.kind == "num":
-            self.next()
-            num = int(tok.text)
+    def term(self, sign):
+        """term := [coeff ['*']] factor+, after an optional sign token."""
+        coeff = qq(-1 if sign and sign[0] == "-" else 1)
+        num = self.take("num")
+        if num is not None:
             den = 1
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "/":
-                self.next()
+            if self.take("/"):
                 dtok = self.expect("num", "denominator")
-                den = int(dtok.text)
+                den = int(dtok[1])
                 if den == 0:
-                    self.fail("zero denominator", dtok)
-            coeff = coeff * QQ(num, den)
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "*":
-                self.next()
-        letters = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind in "+-,]":
-                break
-            letters = letters + self.parse_factor()
-        return coeff, letters
+                    _fail("zero denominator", dtok)
+            coeff = coeff * QQ(int(num[1]), den)
+            self.take("*")
+        return coeff, self.factors("+", "-")
 
-    # factor := letters | \'[\' word \',\' word \']\' | factor \'^\' int
-    def parse_factor(self):
-        tok = self.next()
+    def factors(self, *stops):
+        """factor+ up to the end, ',', ']' or a token in stops."""
+        letters = self.factor()
+        stops += ("end", ",", "]")
+        while self.peek()[0] not in stops:
+            letters += self.factor()
+        return letters
+
+    def factor(self):
+        tok = self.take("letters", "[")
         if tok is None:
-            self.fail("expected a word")
-        if tok.kind == "letters":
-            letters = [letter_from_char(ch) for ch in tok.text]
-        elif tok.kind == "[":
-            u = self.parse_factors_until(",")
-            self.expect(",", "','")
-            v = self.parse_factors_until("]")
-            self.expect("]", "']'")
-            letters = (u + v + [-x for x in reversed(u)]
-                       + [-x for x in reversed(v)])
+            _fail("expected a word", self.peek())
+        if tok[0] == "letters":
+            letters = [letter_from_char(ch) for ch in tok[1]]
         else:
-            self.fail("expected a word", tok)
+            u = self.factors()
+            self.expect(",", "','")
+            v = self.factors()
+            self.expect("]", "']'")
+            letters = u + v + _inverse(u) + _inverse(v)
         while True:
-            nxt = self.peek()
-            if nxt is None or nxt.kind != "^":
+            caret = self.take("^")
+            if caret is None:
                 return letters
-            caret = self.next()
-            exp = self.parse_exponent(caret)
-            base = letters if exp >= 0 else [-x for x in reversed(letters)]
-            letters = base * abs(exp)
-
-    def parse_factors_until(self, stop):
-        letters = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind in (stop, ",", "]"):
-                return letters
-            letters = letters + self.parse_factor()
-
-    def parse_exponent(self, caret):
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok.kind == "-":
-            self.next()
-            sign = -1
-            tok = self.peek()
-        if tok is None or tok.kind != "num":
-            self.fail("missing exponent after '^'", caret)
-        self.next()
-        return sign * int(tok.text)
+            negative = self.take("-")
+            exp = self.take("num")
+            if exp is None:
+                _fail("missing exponent after '^'", caret)
+            base = _inverse(letters) if negative else letters
+            letters = base * int(exp[1])
 
 
 @dataclass(frozen=True)
@@ -181,14 +133,12 @@ class ChainExpression:
 
 def parse_chain(text, min_rank=1):
     """Parse a chain expression; the result is canonicalized."""
-    parser = _Parser(text)
-    if parser.peek() is None:
-        raise ChainSyntaxError("empty chain expression", 0)
+    parser = _Parser(text, "chain")
+    tokens = parser.tokens
     # the zero chain is spelled "0", matching format_chain
-    if len(parser.tokens) == 1 and parser.tokens[0].kind == "num" \
-            and int(parser.tokens[0].text) == 0:
+    if len(tokens) == 2 and tokens[0][0] == "num" and int(tokens[0][1]) == 0:
         return ChainExpression(text, Chain((), min_rank))
-    pairs = parser.parse_chain_terms()
+    pairs = parser.terms()
     rank = max(min_rank, max((abs(x) for _, ls in pairs for x in ls), default=1))
     terms = []
     for coeff, letters in pairs:
@@ -200,13 +150,11 @@ def parse_chain(text, min_rank=1):
 def parse_word(text, min_rank=1):
     """Parse a single word expression (letters, brackets, powers); the
     word is freely reduced but not cyclically normalized."""
-    parser = _Parser(text)
-    if parser.peek() is None:
-        raise ChainSyntaxError("empty word expression", 0)
-    letters = parser.parse_factors_until(None)
+    parser = _Parser(text, "word")
+    letters = parser.factors()
     tok = parser.peek()
-    if tok is not None:
-        parser.fail("unexpected token in word expression", tok)
+    if tok[0] != "end":
+        _fail("unexpected token in word expression", tok)
     rank = max(min_rank, max((abs(x) for x in letters), default=1))
     return Word(reduce_letters(letters), rank)
 

@@ -15,11 +15,16 @@ import time
 
 from . import immersion, rotation, sclenc, surfcert
 from .chainexpr import format_chain, format_word, parse_chain, parse_word
-from .errors import (ChainSyntaxError, InvariantViolationError,
-                     NotBoundaryError, RankMismatchError, ResourceLimitError)
+from .errors import (InvariantViolationError, NotBoundaryError,
+                     ResourceLimitError, SclError)
 from .rational import fmt, qq
 
 SOFT_BUDGET_SECONDS = 60.0
+
+# exit code of each error a command may raise; any other SclError,
+# ValueError or OSError is a parse or usage error, exit 2
+_EXIT_CODES = ((NotBoundaryError, 3), (ResourceLimitError, 4),
+               (InvariantViolationError, 5))
 
 
 def _bool(flag):
@@ -60,21 +65,28 @@ def _parse_n_range(text):
     return range(lo, hi + 1)
 
 
+def _table(key, entries):
+    """Record rows and text lines of a criterion table over (key, report)
+    pairs."""
+    rows, lines = [], []
+    for x, report in entries:
+        rows.append({key: x, **_criterion_fields(report)})
+        lines.append("%s = %d: %s" % (key, x, _criterion_line(report)))
+    return rows, lines
+
+
 def _cmd_scl(args):
     ce = parse_chain(args.chain)
-    value = sclenc.scl(ce.chain, max_letters=args.max_letters,
-                       max_pivots=args.max_pivots)
-    record = {"command": "scl", "input": args.chain,
-              "chain": format_chain(ce.chain), "scl": fmt(value),
-              "limits": _limits(args)}
+    value = sclenc.scl(ce.chain, **_limits(args))
+    record = {"input": args.chain, "chain": format_chain(ce.chain),
+              "scl": fmt(value)}
     return record, ["scl = %s" % fmt(value)]
 
 
 def _cmd_rot(args):
     ce = parse_chain(args.chain, min_rank=2)
-    record = {"command": "rot", "input": args.chain,
-              "chain": format_chain(ce.chain), "method": args.method,
-              "limits": _limits(args)}
+    record = {"input": args.chain, "chain": format_chain(ce.chain),
+              "method": args.method}
     lines = []
     if args.method in ("dynamical", "both"):
         dyn = qq(rotation.rot(ce.chain))
@@ -98,50 +110,33 @@ def _cmd_rot(args):
 
 def _cmd_immersed(args):
     ce = parse_chain(args.chain, min_rank=2)
-    report = immersion.bounds_immersed(ce.chain, max_letters=args.max_letters,
-                                       max_pivots=args.max_pivots)
-    record = {"command": "immersed", "input": args.chain,
-              "on_face": report.bounds_immersed, "limits": _limits(args)}
-    record.update(_criterion_fields(report))
+    report = immersion.bounds_immersed(ce.chain, **_limits(args))
+    record = {"input": args.chain, "on_face": report.bounds_immersed,
+              **_criterion_fields(report)}
     return record, [_criterion_line(report)]
 
 
 def _cmd_stabilize(args):
     ce = parse_chain(args.chain, min_rank=2)
     st = immersion.minimal_stabilization(ce.chain, args.max_R,
-                                         max_letters=args.max_letters,
-                                         max_pivots=args.max_pivots)
-    rows = []
-    lines = []
-    for r, report in enumerate(st.table):
-        row = {"R": r}
-        row.update(_criterion_fields(report))
-        rows.append(row)
-        lines.append("R = %d: %s" % (r, _criterion_line(report)))
+                                         **_limits(args))
+    rows, lines = _table("R", enumerate(st.table))
     if st.minimal_r is None:
         lines.append("minimal R = none (searched 0..%d)" % args.max_R)
     else:
         lines.append("minimal R = %d" % st.minimal_r)
-    record = {"command": "stabilize", "input": args.chain,
-              "base": format_chain(st.base),
+    record = {"input": args.chain, "base": format_chain(st.base),
               "boundary": format_chain(st.boundary),
               "max_R": args.max_R, "minimal_R": st.minimal_r,
-              "table": rows, "limits": _limits(args)}
+              "table": rows}
     return record, lines
 
 
 def _cmd_scan(args):
     w = parse_word(args.w, min_rank=2)
     ns = _parse_n_range(args.n_range)
-    sc = immersion.scan_conjecture(w, ns, max_letters=args.max_letters,
-                                   max_pivots=args.max_pivots)
-    rows = []
-    lines = []
-    for n, report in sc.entries:
-        row = {"n": n}
-        row.update(_criterion_fields(report))
-        rows.append(row)
-        lines.append("n = %d: %s" % (n, _criterion_line(report)))
+    sc = immersion.scan_conjecture(w, ns, **_limits(args))
+    rows, lines = _table("n", sc.entries)
     if sc.first_equality is None:
         lines.append("no equality in range")
     elif sc.persistent:
@@ -150,21 +145,17 @@ def _cmd_scan(args):
     else:
         lines.append("first equality at n = %d, does not persist"
                      % sc.first_equality)
-    record = {"command": "scan", "w": format_word(sc.w),
-              "n_range": [ns.start, ns.stop - 1],
+    record = {"w": format_word(sc.w), "n_range": [ns.start, ns.stop - 1],
               "first_equality": sc.first_equality,
-              "persistent": sc.persistent, "table": rows,
-              "limits": _limits(args)}
+              "persistent": sc.persistent, "table": rows}
     return record, lines
 
 
 def _cmd_corollary(args):
     w = parse_word(args.w, min_rank=2)
-    lhs, rhs, equal = immersion.corollary_check(
-        w, args.n, max_letters=args.max_letters, max_pivots=args.max_pivots)
-    record = {"command": "corollary", "w": format_word(w), "n": args.n,
-              "lhs": fmt(lhs), "rhs": fmt(rhs), "equal": equal,
-              "limits": _limits(args)}
+    lhs, rhs, equal = immersion.corollary_check(w, args.n, **_limits(args))
+    record = {"w": format_word(w), "n": args.n, "lhs": fmt(lhs),
+              "rhs": fmt(rhs), "equal": equal}
     line = "lhs = %s, rhs = %s, equal = %s" % (fmt(lhs), fmt(rhs), _bool(equal))
     return record, [line]
 
@@ -174,9 +165,8 @@ def _cmd_certify(args):
         text = handle.read()
     m, file_chain, degree = surfcert.read_certificate(text)
     cert = surfcert.certificate_from_matching(m)
-    record = {"command": "certify", "file": args.file, "chi": cert.chi,
-              "boundary": format_chain(cert.boundary),
-              "limits": _limits(args)}
+    record = {"file": args.file, "chi": cert.chi,
+              "boundary": format_chain(cert.boundary)}
     lines = ["chi = %d, boundary = %s" % (cert.chi,
                                           format_chain(cert.boundary))]
     target = None
@@ -186,13 +176,10 @@ def _cmd_certify(args):
         target = file_chain
     if target is not None:
         ratio = surfcert.extremality_ratio(cert, target)
-        value = sclenc.scl(target, max_letters=args.max_letters,
-                           max_pivots=args.max_pivots)
+        value = sclenc.scl(target, **_limits(args))
         extremal = ratio == value
-        record["chain"] = format_chain(target)
-        record["ratio"] = fmt(ratio)
-        record["scl"] = fmt(value)
-        record["extremal"] = extremal
+        record.update(chain=format_chain(target), ratio=fmt(ratio),
+                      scl=fmt(value), extremal=extremal)
         if degree is not None:
             record["degree"] = degree
         lines.append("ratio = %s, scl = %s, extremal = %s"
@@ -205,9 +192,8 @@ def _cmd_matchbound(args):
     prepared, scale = sclenc.prepare(ce.chain)
     cert, m = surfcert.search_matching(ce.chain, n=args.degree)
     bound = qq(-cert.chi, 2 * args.degree * scale)
-    record = {"command": "matchbound", "input": args.chain,
-              "chain": format_chain(ce.chain), "degree": args.degree,
-              "chi": cert.chi, "bound": fmt(bound), "limits": _limits(args)}
+    record = {"input": args.chain, "chain": format_chain(ce.chain),
+              "degree": args.degree, "chi": cert.chi, "bound": fmt(bound)}
     lines = ["bound = %s (chi = %d, degree = %d)" % (fmt(bound), cert.chi,
                                                      args.degree)]
     if args.emit is not None:
@@ -289,25 +275,18 @@ def _parser():
 
 
 def main(argv=None):
+    """Run one subcommand and return its exit code.  The handlers return
+    (record, lines); the command name and caps are added to every record
+    here."""
     args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         record, lines = args.handler(args)
-    except ChainSyntaxError as err:
+    except (SclError, ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
-        return 2
-    except (RankMismatchError, ValueError, OSError) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    except NotBoundaryError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 3
-    except ResourceLimitError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 4
-    except InvariantViolationError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 5
+        return next((code for kind, code in _EXIT_CODES
+                     if isinstance(err, kind)), 2)
+    record.update(command=args.subcommand, limits=_limits(args))
     elapsed = time.perf_counter() - start
     if args.json:
         doc = {"record": record,

@@ -25,24 +25,24 @@ kept beside the basic value of the row:
 - the simplex multipliers u = c_B B^-1 live in one integer vector over a
   shared denominator and take the update the tableau's cost row would:
   u += d_q * (new pivot row), for the entering column's reduced cost
-  d_q.  Every reduced cost c_j - u R_j is priced from the sparse rows of
-  R;
+  d_q.  A reduced cost c_j - u R_j is priced from the sparse column R_j;
 - when phase 2 stops, u scaled back to the rows of A is the dual vector,
   so no final solve is needed.
 
 Pricing may run in rounds (delayed column generation, Gilmore and Gomory
-1961).  solve_min can be given the columns to price first, the active
-set; by default it is every column.  Within a round only active columns
-are priced, column-wise from the sparse columns of R, under the same
-rules as ever.  When none of them has a negative reduced cost, every
-column is priced once from the rows of R, each negative one joins the
-active set, and the solve goes on.  A phase ends only when such a full
-pricing finds nothing negative, so the final basis is optimal for the
-whole program, not only for the active columns.  The active set only
-grows, and each round is the plain simplex on a fixed set of columns,
-so the solve still terminates.  The pivot count covers every round of
-both phases, drive-out included.  With every column active the pivots
-are exactly those of a solve without rounds.
+1961).  The columns are split into two sorted lists: the active ones,
+priced at every pivot, and the waiting ones.  solve_min can be given
+the active set; by default it is every column and nothing waits.  When
+no active column has a negative reduced cost, the waiting columns are
+priced once, each negative one moves to the active set, and the solve
+goes on.  Every active column then prices at zero or more, so the rule's
+choice among the waiting columns is its choice over all columns, and a
+phase ends only when no column at all is negative: the final basis is
+optimal for the whole program, not only for the active columns.  The
+active set only grows, and each round is the plain simplex on a fixed
+set of columns, so the solve still terminates.  The pivot count covers
+every round of both phases, drive-out included.  With every column
+active the pivots are exactly those of a solve without rounds.
 
 Ratio tests compare by cross-multiplication.  Rationals (QQ) appear only
 at the boundary: the input is read through .numerator / .denominator and
@@ -90,7 +90,7 @@ class LinearProgram:
                     raise ValueError("column %d out of range" % col)
                 if col <= last:
                     raise ValueError("row columns must be strictly increasing")
-                if value == 0:
+                if not value:
                     raise ValueError("sparse entries must be nonzero")
                 last = col
 
@@ -173,8 +173,8 @@ class _Revised:
     value rhs[i] / den[i]; the multipliers are u[k] / u_den, scaled by
     the phase's cost denominator.  Every denominator is positive, so
     signs and comparisons within a row are those of the numerators.
-    active is the ascending list of columns priced in a round, or None
-    when every column is.
+    active is the ascending list of columns priced in a round, waiting
+    the ascending list of the others.
     """
 
     def __init__(self, lp, max_pivots, active):
@@ -182,6 +182,8 @@ class _Revised:
         m = self.m = lp.num_rows
         self.max_pivots = max_pivots
         self.active = active
+        chosen = set(active)
+        self.waiting = [j for j in range(n) if j not in chosen]
         self.pivots = 0
         self.rows = []  # rows[i] = [(col, integer entry of R)]
         self.cols = [[] for _ in range(n)]  # cols[j] = [(row, entry)]
@@ -259,15 +261,15 @@ class _Revised:
                 _, self.u_den = _sub_rational(self.u, 0, self.u_den, -cb, 1,
                                               self.inv[i], 0, self.den[i])
 
-    def reduced_costs(self):
-        """Numerators over u_den of every column's reduced cost c - u R,
-        from the sparse rows of R."""
-        uta = [0] * self.n  # u R
+    def reduced_costs(self, cols):
+        """Numerators over u_den of the reduced costs c - u R of cols,
+        from the sparse columns of R."""
+        dense = [0] * self.m
         for k, f in self.u.items():
-            for col, a in self.rows[k]:
-                uta[col] += f * a
-        u_den = self.u_den
-        return [c * u_den - x for c, x in zip(self.cost, uta)]
+            dense[k] = f
+        u_den, cost, columns = self.u_den, self.cost, self.cols
+        return [cost[col] * u_den - sum([dense[k] * a for k, a in columns[col]])
+                for col in cols]
 
     def price(self, bland):
         """Entering column and its reduced cost numerator over u_den.
@@ -275,32 +277,23 @@ class _Revised:
         The most negative reduced cost among the active columns, ties to
         the lower column, or under Bland's rule the lowest active column
         with a negative one; basic columns price at exactly zero.  When
-        no active column is negative, every column is priced, the
+        no active column is negative, the waiting columns are priced, the
         negative ones join the active set, and the rule picks among them.
         (None, None) when no column at all is negative.
         """
-        active = self.active
-        if active is not None:
-            u, u_den, cost, cols = self.u, self.u_den, self.cost, self.cols
-            dense = [0] * self.m
-            for k, f in u.items():
-                dense[k] = f
-            d = [cost[col] * u_den - sum([dense[k] * a for k, a in cols[col]])
-                 for col in active]
-            i = _entering(d, bland)
-            if i is not None:
-                return active[i], d[i]
-        d = self.reduced_costs()
-        entering = _entering(d, bland)
-        if entering is None:
+        d = self.reduced_costs(self.active)
+        i = _entering(d, bland)
+        if i is not None:
+            return self.active[i], d[i]
+        waiting = self.waiting
+        d = self.reduced_costs(waiting)
+        i = _entering(d, bland)
+        if i is None:
             return None, None
-        if active is not None:
-            # every active column prices at zero or more, so the rule's
-            # choice over all columns is its choice over the grown set
-            grown = set(active).union(
-                col for col, v in enumerate(d) if v < 0)
-            self.active = sorted(grown) if len(grown) < self.n else None
-        return entering, d[entering]
+        self.active = sorted(self.active
+                             + [col for col, v in zip(waiting, d) if v < 0])
+        self.waiting = [col for col, v in zip(waiting, d) if v >= 0]
+        return waiting[i], d[i]
 
     def run(self):
         """Pivot until no original column has negative reduced cost.
@@ -372,7 +365,8 @@ class _Revised:
                          default=None)
             if target is not None:
                 self.pivot(i, target, self.column(target))
-                if self.active is not None and target not in self.active:
+                if target in self.waiting:
+                    self.waiting.remove(target)
                     bisect.insort(self.active, target)
 
 
@@ -388,12 +382,9 @@ def solve_min(lp, max_pivots=10 ** 6, active=None):
     every round (reported distinctly from infeasibility, which is a
     normal result status).
     """
-    if active is not None:
-        active = sorted(set(active))
-        if active and not (0 <= active[0] and active[-1] < lp.num_vars):
-            raise ValueError("active column out of range")
-        if len(active) == lp.num_vars:
-            active = None
+    active = sorted(set(range(lp.num_vars) if active is None else active))
+    if active and not (0 <= active[0] and active[-1] < lp.num_vars):
+        raise ValueError("active column out of range")
     t = _Revised(lp, max_pivots, active)
     n, m = t.n, t.m
     # phase 1: each artificial column costs 1

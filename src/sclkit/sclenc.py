@@ -250,24 +250,21 @@ def solve_chain(chain, max_letters=24, max_pivots=10 ** 6):
     The LP optimum is result.value; scl is result.value / (2 * scale).
     Returns (None, None) for chains that canonicalize to zero.
 
-    The simplex prices a crash set of columns first: the rectangles, the
-    bigons and the triangles with two or three real sides.  The rest, the
-    triangles with one real side and two dummy sides, are about three
-    quarters of the columns, cost 0, and are seldom used by an optimal
-    vertex; each joins the pricing only once it prices out negative, and
-    the solve ends only when no column does (see ratlp).
+    The simplex prices a crash set of columns first, those of nonzero
+    cost: the rectangles, the bigons and the triangles with two or three
+    real sides.  The rest, the triangles with one real side and two dummy
+    sides, are about three quarters of the columns and are seldom used
+    by an optimal vertex; each joins the pricing only once it prices out
+    negative, and the solve ends only when no column does (see ratlp).
     """
     cchain = canonicalize(chain)
     require_boundary(cchain)
     if cchain.is_empty():
         return None, None
     enc = build_lp(cchain, max_letters=max_letters)
-    nrect = len(enc.rectangles)
-    crash = list(range(nrect))
-    # a piece starts at its least side, which is real, so it has one real
-    # side only when its second and last sides are both dummies
-    crash += [col for col, p in enumerate(enc.pieces, nrect)
-              if not (p[1][0] and p[-1][0])]
+    # a rectangle costs 1 and a piece dummies/2 - 1, with at most
+    # len - 1 dummy sides, so only the one-real triangles cost 0
+    crash = [j for j, c in enumerate(enc.lp.objective) if c]
     result = solve_min(enc.lp, max_pivots=max_pivots, active=crash)
     if result.status != "optimal":
         raise InvariantViolationError(

@@ -57,20 +57,40 @@ def test_min_rank():
 
 
 def test_syntax_error_positions():
+    cases = [
+        ("ab^", "missing exponent after '^'", 2),
+        ("", "empty chain expression", 0),
+        ("a ++ b", "expected a word", 3),
+        ("[a,b", "expected ']'", 4),
+        ("2*", "expected a word", 2),
+        ("a1", "expected a word", 1),
+        ("a@b", "unexpected character '@'", 1),
+        ("1/0*a", "zero denominator", 2),
+        ("[a b]", "expected ','", 4),
+        ("a,b", "expected '+' or '-'", 1),
+    ]
+    for text, message, offset in cases:
+        with pytest.raises(ChainSyntaxError) as err:
+            parse_chain(text)
+        assert err.value.position == offset, text
+        assert str(err.value) == "%s (at offset %d)" % (message, offset)
     with pytest.raises(ChainSyntaxError) as err:
-        parse_chain("ab^")
-    assert err.value.position == 2
-    assert "offset 2" in str(err.value)
-    with pytest.raises(ChainSyntaxError):
-        parse_chain("")
-    with pytest.raises(ChainSyntaxError):
-        parse_chain("a ++ b")
-    with pytest.raises(ChainSyntaxError):
-        parse_chain("[a,b")
-    with pytest.raises(ChainSyntaxError):
-        parse_chain("2*")
-    with pytest.raises(ChainSyntaxError):
-        parse_chain("a1")
+        parse_word("ab]")
+    assert str(err.value) == "unexpected token in word expression (at offset 2)"
+    with pytest.raises(ChainSyntaxError) as err:
+        parse_word(" ")
+    assert str(err.value) == "empty word expression (at offset 0)"
+
+
+def test_non_ascii_characters_are_syntax_errors():
+    # only a-z, A-Z and decimal digits are tokens, so a non-ASCII letter
+    # or a non-decimal digit fails at its own offset
+    for text, offset in [("é", 0), ("abé", 2), ("a²", 1), ("a^²", 2)]:
+        for parse in (parse_chain, parse_word):
+            with pytest.raises(ChainSyntaxError) as err:
+                parse(text)
+            assert err.value.position == offset, text
+            assert "unexpected character %r" % text[offset] in str(err.value)
 
 
 def test_format_basics():

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+import sclkit.immersion
 import sclkit.rotation
 from sclkit.cli import main
+from sclkit.rational import qq
 
 
 def run(capsys, *argv):
@@ -215,6 +217,28 @@ def test_exit_code_invariant_violation(capsys, monkeypatch):
     code, _, err = run(capsys, "rot", "abAB", "--method", "both")
     assert code == 5
     assert "disagrees" in err
+
+
+def test_exit_code_persistence_guard(capsys, monkeypatch):
+    verdicts = iter([True, False])
+    monkeypatch.setattr(
+        sclkit.immersion, "bounds_immersed",
+        lambda chain, *caps: sclkit.immersion.CriterionReport(
+            chain, qq(1, 2), qq(1), next(verdicts)))
+    code, out, err = run(capsys, "stabilize", "abAB", "--max-R", "3")
+    assert code == 5
+    assert out == ""
+    assert "did not persist at R = 1" in err
+
+
+def test_exit_code_non_ascii(capsys):
+    # a non-ASCII letter or digit is a syntax error at its own offset
+    for text, offset in [("abé", 2), ("a^²", 2)]:
+        code, out, err = run(capsys, "scl", text)
+        assert code == 2
+        assert out == ""
+        assert err == "error: unexpected character %r (at offset %d)\n" % (
+            text[offset], offset)
 
 
 def test_exit_code_holonomy_overflow(capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from sclkit import immersion
 from sclkit.chainexpr import parse_chain, parse_word
 from sclkit.errors import (InvariantViolationError, NotBoundaryError,
                            RankMismatchError)
@@ -96,6 +97,19 @@ def test_stabilization_none_in_range():
     report = minimal_stabilization(parse_chain("ab - a - b").chain, 1)
     assert report.minimal_r is None
     assert len(report.table) == 2
+
+
+def test_stabilization_persistence_guard(monkeypatch):
+    # equality persists once it holds, so a true row followed by a false
+    # row is an internal fault; fake one to reach the guard
+    verdicts = iter([True, False])
+    monkeypatch.setattr(
+        immersion, "bounds_immersed",
+        lambda chain, *caps: CriterionReport(chain, qq(1, 2), qq(1),
+                                             next(verdicts)))
+    with pytest.raises(InvariantViolationError,
+                       match="equality at R = 0 did not persist at R = 1"):
+        minimal_stabilization(parse_chain("abAB").chain, 3)
 
 
 def test_stabilization_rejects_negative_range():

@@ -111,6 +111,8 @@ def test_validation_errors():
         linear_program(1, [[(1, 1)]], [1], [1])
     with pytest.raises(ValueError):
         linear_program(2, [[(0, 0)]], [1], [1, 1])
+    with pytest.raises(ValueError, match="nonzero"):
+        LinearProgram(2, (((0, 0),),), (qq(1),), (qq(1), qq(1)))
 
 
 def test_pivot_cap():
