@@ -7,6 +7,16 @@ least-index rule after a run of degenerate pivots, which keeps the
 exact-arithmetic termination guarantee without Bland's stalling.  The
 result carries a primal vertex and a dual vector.
 
+Phase 1 starts from a crash basis (Bixby 1992) rather than from the
+basis of artificials alone.  Each row of rhs 0 has its artificial
+pivoted out on the lowest original column of its tableau row, the rule
+that also clears the artificials left basic after phase 1.  Such a pivot
+moves no value, so the start is feasible whatever the sign of the pivot
+entry, and phase 1 puts cost 1 only on the artificials still basic.
+Without the start, phase 1 spends most of its pivots on degenerate swaps
+of artificials at zero: the scl programs have many more rows of rhs 0
+than of rhs > 0.
+
 The solver never forms the tableau B^-1 A.  Each row of A is scaled to
 integers and signed so that its rhs is nonnegative, which gives the
 system R x = r; artificial column n+i is the row's scale times the i-th
@@ -41,8 +51,9 @@ phase ends only when no column at all is negative: the final basis is
 optimal for the whole program, not only for the active columns.  The
 active set only grows, and each round is the plain simplex on a fixed
 set of columns, so the solve still terminates.  The pivot count covers
-every round of both phases, drive-out included.  With every column
-active the pivots are exactly those of a solve without rounds.
+every round of both phases, the start and the drive-out included.  With
+every column active the pivots are exactly those of a solve without
+rounds.
 
 Ratio tests compare by cross-multiplication.  Rationals (QQ) appear only
 at the boundary: the input is read through .numerator / .denominator and
@@ -352,21 +363,29 @@ class _Revised:
         return total
 
     def drive_out_artificials(self):
-        """Pivot each artificial still basic (at value zero) out on the
-        lowest original column of its tableau row.  A row with none is a
-        redundant constraint, 0 = 0: its artificial stays basic at zero,
-        every later entering column is zero in that row, so no pivot
-        touches it, and its multiplier stays zero in phase 2.  A column
-        made basic here joins the active set."""
+        """Pivot each artificial basic at value zero out on the lowest
+        original column of its tableau row; rows of nonzero value are left
+        alone.  A pivot in a row of value zero moves no value, so the
+        basis stays feasible whatever the sign of the pivot entry.  Run
+        before phase 1 this builds the start basis (see the module
+        docstring); run after it, it clears the artificials left basic.
+
+        A row with no original column is a redundant constraint, 0 = 0:
+        its artificial stays basic at zero, every later entering column is
+        zero in that row, so no pivot touches it, and its multiplier stays
+        zero in phase 2.  A column made basic here joins the active set.
+        """
+        waiting = self.waiting
         for i in range(self.m):
-            if self.basis[i] < self.n:
+            if self.basis[i] < self.n or self.rhs[i]:
                 continue
             target = min((col for col, v in self.tableau_row(i).items() if v),
                          default=None)
             if target is not None:
                 self.pivot(i, target, self.column(target))
-                if target in self.waiting:
-                    self.waiting.remove(target)
+                k = bisect.bisect_left(waiting, target)
+                if k < len(waiting) and waiting[k] == target:
+                    del waiting[k]
                     bisect.insort(self.active, target)
 
 
@@ -377,18 +396,24 @@ def solve_min(lp, max_pivots=10 ** 6, active=None):
     priced only when none of these has a negative reduced cost (see the
     module docstring).  The optimum found is one of the whole program
     either way, but it may be another optimal vertex than a solve with
-    every column active, which is the default.  Raises
+    every column active, which is the default.
+
+    Phase 1 starts from the basis drive_out_artificials builds: the
+    artificial of every row of rhs 0 is pivoted out first, and phase 1
+    puts cost 1 only on the artificials still basic.  Raises
     ResourceLimitError when the pivot cap is hit, counting the pivots of
-    every round (reported distinctly from infeasibility, which is a
-    normal result status).
+    the start and of every round (reported distinctly from
+    infeasibility, which is a normal result status).
     """
     active = sorted(set(range(lp.num_vars) if active is None else active))
     if active and not (0 <= active[0] and active[-1] < lp.num_vars):
         raise ValueError("active column out of range")
     t = _Revised(lp, max_pivots, active)
     n, m = t.n, t.m
-    # phase 1: each artificial column costs 1
-    t.set_cost([0] * n, [1] * m)
+    # start basis: the artificials of the zero rows are pivoted out
+    t.drive_out_artificials()
+    # phase 1: each artificial still basic costs 1
+    t.set_cost([0] * n, [1 if j >= n else 0 for j in t.basis])
     t.run()  # phase 1 cannot be unbounded
     if t.phase1_value() != 0:
         return LPResult("infeasible", None, None, None, t.pivots)

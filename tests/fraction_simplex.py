@@ -1,7 +1,8 @@
 """Fraction-valued sparse simplex: the oracle for sclkit.ratlp.solve_min.
 
 Every entry is an exact rational and each row a dict col -> value.  The
-pivot rules (Dantzig, the switch to Bland after _STALL_LIMIT degenerate
+pivot rules (the start basis that drives the artificials of the rows of
+rhs 0 out, Dantzig, the switch to Bland after _STALL_LIMIT degenerate
 pivots, every tie-break) are the ones the revised simplex in
 sclkit.ratlp must reproduce pivot for pivot when every column is priced.
 
@@ -39,7 +40,8 @@ class _Tableau:
         self.rows = []  # list of dict col -> value (cols may include artificials)
         self.rhs = []
         self.basis = []  # basis[i] = column basic in row i
-        self.dead = [False] * self.m  # redundant rows dropped after phase 1
+        self.dead = [False] * self.m  # redundant rows, 0 = 0
+        self.cost = {}  # no objective during the start basis
         for i, row in enumerate(lp.rows):
             sign = 1 if lp.rhs[i] >= 0 else -1
             self.signs.append(sign)
@@ -129,10 +131,12 @@ class _Tableau:
             self.pivot(leave, entering)
 
     def set_phase1_cost(self):
-        # cost of artificials is 1; reduced costs subtract the basic rows
+        # cost of artificials is 1; reduced costs subtract the rows whose
+        # basic is artificial
         cost = {}
         for i in range(self.m):
-            _axpy(cost, qq(1), self.rows[i])
+            if self.basis[i] >= self.n:
+                _axpy(cost, qq(1), self.rows[i])
         for i in range(self.m):
             cost.pop(self.n + i, None)
         self.cost = cost
@@ -145,8 +149,10 @@ class _Tableau:
         return total
 
     def drive_out_artificials(self):
+        # only artificials at value zero; before phase 1 this is the start
+        # basis, after it every artificial left basic is at zero
         for i in range(self.m):
-            if self.dead[i] or self.basis[i] < self.n:
+            if self.dead[i] or self.basis[i] < self.n or self.rhs[i] != 0:
                 continue
             target = None
             for col in self.rows[i]:
@@ -177,6 +183,7 @@ def solve_min(lp, max_pivots=10 ** 6):
     distinctly from infeasibility, which is a normal result status).
     """
     t = _Tableau(lp, max_pivots)
+    t.drive_out_artificials()
     t.set_phase1_cost()
     t.run()  # phase 1 cannot be unbounded
     if t.phase1_value() != 0:

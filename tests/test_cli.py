@@ -200,11 +200,12 @@ def test_exit_code_resource_limit(capsys):
                                        ("1/2*bbbaBBBAbbbaBBBA", 7)])
 def test_exit_code_resource_limit_pinned_caps(capsys, expr, cap):
     # The benchmark pins these two commands to exit 4.  No pivot rule can
-    # finish either within its cap: the basis starts all artificial, each
-    # pivot brings in at most one column of A, and once phase 1 and the
-    # drive-out are done the basis holds rank(A) columns of A (43 and 47
-    # here), so every solve needs at least that many pivots.  The solver
-    # takes 95 and 88.
+    # finish either within its cap: the basis is all artificial before the
+    # start basis is built, each pivot brings in at most one column of A,
+    # and once phase 1 and the drive-out are done the basis holds rank(A)
+    # columns of A (43 and 47 here).  The start's pivots count toward the
+    # cap like any other, so every solve needs at least rank(A) counted
+    # pivots.  The solver takes 48 and 51, 42 and 46 of them in the start.
     code, _, err = run(capsys, "scl", expr, "--max-pivots", str(cap))
     assert code == 4
     assert "pivot cap" in err

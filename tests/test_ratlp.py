@@ -2,10 +2,12 @@
 
 import pytest
 
+from sclkit import ratlp
 from sclkit.errors import ResourceLimitError
 from sclkit.ratlp import LPResult, LinearProgram, linear_program, solve_min, verify
 from sclkit.rational import qq
 
+import fraction_simplex
 from conftest import seeded
 
 
@@ -119,6 +121,60 @@ def test_pivot_cap():
     lp = linear_program(2, [[(0, 1), (1, 1)]], [1], [-1, 0])
     with pytest.raises(ResourceLimitError):
         solve_min(lp, max_pivots=0)
+
+
+def start_basis(lp):
+    """The revised simplex state once the start basis is built."""
+    t = ratlp._Revised(lp, 10 ** 6, list(range(lp.num_vars)))
+    t.drive_out_artificials()
+    return t
+
+
+def test_start_pivots_count_toward_the_cap():
+    # only the last row has rhs > 0, so the start pivots the artificials
+    # of the three zero rows out, and phase 1 needs one pivot more (from
+    # the basis of artificials alone it would take 6)
+    lp = linear_program(5, [[(1, -2), (2, 2), (3, -1), (4, -1)],
+                            [(1, -1), (2, 1), (3, 1)], [(0, -2), (4, 1)],
+                            [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]],
+                        [0, 0, 0, 3], [1, 2, 2, 3, 4])
+    t = start_basis(lp)
+    assert t.pivots == 3 and t.basis == [1, 3, 0, 8]
+    res = solve_min(lp)
+    assert res == fraction_simplex.solve_min(lp)
+    assert res.value == 6 and res.pivots == 4
+    for cap in (0, 2, 3):
+        with pytest.raises(ResourceLimitError):
+            solve_min(lp, max_pivots=cap)
+    assert solve_min(lp, max_pivots=4) == res
+
+
+def test_repeated_zero_row_keeps_its_artificial():
+    # row 1 is twice row 0, both with rhs 0: once row 0's artificial is
+    # out, row 1 has no original column left and stays 0 = 0
+    lp = linear_program(3, [[(0, 1), (1, -1)], [(0, 2), (1, -2)],
+                            [(0, 1), (1, 1), (2, 1)]], [0, 0, 2], [1, 1, 3])
+    t = start_basis(lp)
+    assert t.basis == [0, 4, 5]
+    res = solve_min(lp)
+    assert res == fraction_simplex.solve_min(lp)
+    assert res.value == 2 and res.primal == (1, 1, 0)
+    assert res.dual[1] == 0
+    assert verify(lp, res)
+
+
+def test_start_pivot_on_negative_entry():
+    # row 0, -x0 + x1 = 0, has rhs 0 and its lowest original entry is -1:
+    # the start pivots on it, negating the row, and stays feasible
+    lp = linear_program(2, [[(0, -1), (1, 1)], [(0, 1), (1, 1)]], [0, 2],
+                        [1, 2])
+    t = start_basis(lp)
+    assert t.basis == [0, 3]
+    assert t.inv[0] == {0: -1} and t.rhs == [0, 2]
+    res = solve_min(lp)
+    assert res == fraction_simplex.solve_min(lp)
+    assert res.value == 3 and res.primal == (1, 1)
+    assert verify(lp, res)
 
 
 def random_feasible_lp(rng, n=5, m=3):
