@@ -31,6 +31,18 @@ def _bool(flag):
     return "true" if flag else "false"
 
 
+def _cap(text):
+    """A resource cap: a nonnegative integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid int value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
+    return value
+
+
 def _limits(args):
     return {"max_letters": args.max_letters, "max_pivots": args.max_pivots}
 
@@ -209,9 +221,9 @@ def _parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a structured JSON document")
-    common.add_argument("--max-letters", type=int, default=24,
+    common.add_argument("--max-letters", type=_cap, default=24,
                         help="cap on letters in the prepared chain")
-    common.add_argument("--max-pivots", type=int, default=10 ** 6,
+    common.add_argument("--max-pivots", type=_cap, default=10 ** 6,
                         help="cap on exact simplex pivots")
     top = argparse.ArgumentParser(
         prog="sclkit",

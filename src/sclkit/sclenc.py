@@ -11,8 +11,9 @@ whose optimum equals 2*scl(chain); optimal vertices decode to explicit
 surface certificates.
 """
 
+import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import surfcert
 from .errors import InvariantViolationError, ResourceLimitError
@@ -232,16 +233,56 @@ def build_lp(chain, max_letters=24):
                     tuple(sorted(dummy_types)), lp, tuple(meta))
 
 
-# canonical chain -> (scl, prepared letter count, pivot count), least
-# recently used first; the counts replay the resource caps on a hit
+# The result cache, least recently used first.  Its key is a ray, the
+# positive multiples of one prepared chain, named by its primitive chain
+# (the integer coefficients divided by their gcd g); its entry is the
+# verified LPResult of that primitive chain.  g*C has C's LP with the
+# cover-row rhs times g, and ratlp reads the rhs only through which rows
+# are zero and through ratios, so a fresh solve of g*C makes the same
+# pivots and gives the same dual, with value and primal times g; verify
+# is homogeneous in (rhs, primal, value), so it accepts the one iff the
+# other.  A hit therefore returns the entry scaled by g with no solve and
+# no verify, and replays the caps: the letter count is the key's and the
+# pivot count is stored.  An entry holds a primal slot per column (8
+# bytes, zeros shared) and a dual rational per row (about 100 bytes):
+# about 7 KB at 8 letters and 23 KB at 14 by tracemalloc, against under
+# 0.3 KB for a bare value.  So the cap is 1024 entries, about 24 MB if
+# all are 14-letter chains; the worst case, 1024 chains at the default
+# cap of 24 letters (4468 columns, 444 rows), is about 80 MB, though
+# solves that long are far beyond reach today.
 _scl_cache = OrderedDict()
-_SCL_CACHE_SIZE = 4096
+_SCL_CACHE_SIZE = 1024
 
 
 def _check_letters(total_letters, max_letters):
     if total_letters > max_letters:
         raise ResourceLimitError(
             "chain has %d letters, cap is %d" % (total_letters, max_letters))
+
+
+def _scaled(result, k):
+    """result with its value and nonzero primal entries times k > 0."""
+    if k == 1:
+        return result
+    return replace(result, value=result.value * k,
+                   primal=tuple(v * k if v else v for v in result.primal))
+
+
+def _lookup(prepared, max_pivots):
+    """(key, g, cached result of the key or None) for a prepared chain.
+
+    On a hit the pivot cap is replayed and the entry becomes the most
+    recently used; the caller has checked the letter cap already, as a
+    fresh solve checks it before pivoting.
+    """
+    g = math.gcd(*(t.coefficient.numerator for t in prepared.terms))
+    key = scale_chain(prepared, qq(1, g))
+    cached = _scl_cache.get(key)
+    if cached is not None:
+        if cached.pivots > max_pivots:
+            raise ResourceLimitError("pivot cap exceeded (%d)" % max_pivots)
+        _scl_cache.move_to_end(key)
+    return key, g, cached
 
 
 def solve_chain(chain, max_letters=24, max_pivots=10 ** 6):
@@ -256,12 +297,24 @@ def solve_chain(chain, max_letters=24, max_pivots=10 ** 6):
     sides, are about three quarters of the columns and are seldom used
     by an optimal vertex; each joins the pricing only once it prices out
     negative, and the solve ends only when no column does (see ratlp).
+
+    Results are cached by ray: the key is the prepared chain enc.chain
+    divided by the gcd g of its coefficients, and the entry is the
+    verified result of that primitive chain.  A hit still encodes the
+    chain, so the letter cap raises as before, and raises
+    ResourceLimitError when the stored pivot count exceeds max_pivots;
+    otherwise it returns the stored result with value and primal times
+    g, dual and pivots as stored, which is exactly what a fresh solve
+    would return and what verify would accept, so neither runs.
     """
     cchain = canonicalize(chain)
     require_boundary(cchain)
     if cchain.is_empty():
         return None, None
     enc = build_lp(cchain, max_letters=max_letters)
+    key, g, cached = _lookup(enc.chain, max_pivots)
+    if cached is not None:
+        return enc, _scaled(cached, g)
     # a rectangle costs 1 and a piece dummies/2 - 1, with at most
     # len - 1 dummy sides, so only the one-real triangles cost 0
     crash = [j for j, c in enumerate(enc.lp.objective) if c]
@@ -273,37 +326,36 @@ def solve_chain(chain, max_letters=24, max_pivots=10 ** 6):
         raise InvariantViolationError("LP duality certificate failed")
     if result.value < 0:
         raise InvariantViolationError("scl encoding produced a negative optimum")
+    _scl_cache[key] = _scaled(result, qq(1, g))
+    if len(_scl_cache) > _SCL_CACHE_SIZE:
+        _scl_cache.popitem(last=False)
     return enc, result
 
 
 def scl(chain, max_letters=24, max_pivots=10 ** 6):
     """Exact stable commutator length of a homologically trivial chain.
 
-    Results are cached by canonical chain.  A hit raises
+    Reads the result cache of solve_chain (see there) without encoding:
+    the key is the prepared chain over the gcd g of its coefficients, and
+    a hit returns the stored value * g / (2 * scale), with scale the
+    multiplier that made the chain integral.  A hit raises
     ResourceLimitError exactly when a fresh solve under the given caps
-    would: the pivot count is a property of the LP, not of the run.
+    would: the letter cap is checked on the prepared chain, as build_lp
+    checks it, and the pivot count is a property of the LP, not of the
+    run.  It runs no verify: the entry was verified when stored, and g
+    times it is what a fresh solve of the chain would give.
     """
-    key = canonicalize(chain)
-    require_boundary(key)
-    cached = _scl_cache.get(key)
-    if cached is not None:
-        value, letters, pivots = cached
-        _check_letters(letters, max_letters)
-        if pivots > max_pivots:
-            raise ResourceLimitError("pivot cap exceeded (%d)" % max_pivots)
-        _scl_cache.move_to_end(key)
-        return value
-    enc, result = solve_chain(key, max_letters=max_letters,
-                              max_pivots=max_pivots)
-    if enc is None:
-        cached = (ZERO, 0, 0)
-    else:
-        letters = sum(len(t.word) for t in enc.chain.terms)
-        cached = (result.value / (2 * enc.scale), letters, result.pivots)
-    _scl_cache[key] = cached
-    if len(_scl_cache) > _SCL_CACHE_SIZE:
-        _scl_cache.popitem(last=False)
-    return cached[0]
+    cchain = canonicalize(chain)
+    if cchain.is_empty():
+        return ZERO
+    prepared, scale = prepare(cchain)  # raises unless a boundary
+    _check_letters(sum(len(t.word) for t in prepared.terms), max_letters)
+    _, g, cached = _lookup(prepared, max_pivots)
+    if cached is None:
+        enc, result = solve_chain(cchain, max_letters=max_letters,
+                                  max_pivots=max_pivots)
+        return result.value / (2 * enc.scale)
+    return cached.value * g / (2 * scale)
 
 
 # ---------------------------------------------------------------------------

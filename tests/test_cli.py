@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 
 import pytest
 
 import sclkit.immersion
 import sclkit.rotation
+import sclkit.sclenc
 from sclkit.cli import main
 from sclkit.rational import qq
 
@@ -190,7 +192,8 @@ def test_exit_code_rank_mismatch(capsys):
     assert "rank" in err
 
 
-def test_exit_code_resource_limit(capsys):
+def test_exit_code_resource_limit(capsys, monkeypatch):
+    monkeypatch.setattr(sclkit.sclenc, "_scl_cache", OrderedDict())  # fresh
     code, _, err = run(capsys, "scl", "[ab,ba]", "--max-pivots", "2")
     assert code == 4
     assert "pivot cap" in err
@@ -198,7 +201,7 @@ def test_exit_code_resource_limit(capsys):
 
 @pytest.mark.parametrize("expr, cap", [("2*a + 2*BBAA - 2*BBA", 5),
                                        ("1/2*bbbaBBBAbbbaBBBA", 7)])
-def test_exit_code_resource_limit_pinned_caps(capsys, expr, cap):
+def test_exit_code_resource_limit_pinned_caps(capsys, monkeypatch, expr, cap):
     # The benchmark pins these two commands to exit 4.  No pivot rule can
     # finish either within its cap: the basis is all artificial before the
     # start basis is built, each pivot brings in at most one column of A,
@@ -206,9 +209,25 @@ def test_exit_code_resource_limit_pinned_caps(capsys, expr, cap):
     # columns of A (43 and 47 here).  The start's pivots count toward the
     # cap like any other, so every solve needs at least rank(A) counted
     # pivots.  The solver takes 48 and 51, 42 and 46 of them in the start.
+    monkeypatch.setattr(sclkit.sclenc, "_scl_cache", OrderedDict())  # fresh
     code, _, err = run(capsys, "scl", expr, "--max-pivots", str(cap))
     assert code == 4
     assert "pivot cap" in err
+    # and so on a result cache hit
+    assert run(capsys, "scl", expr)[0] == 0
+    code, _, err = run(capsys, "scl", expr, "--max-pivots", str(cap))
+    assert code == 4
+    assert "pivot cap" in err
+
+
+@pytest.mark.parametrize("flag", ["--max-letters", "--max-pivots"])
+def test_exit_code_negative_cap(capsys, flag):
+    # a negative cap is a usage error, not a resource limit
+    with pytest.raises(SystemExit) as exc:
+        main(["scl", "abAB", flag, "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s: must be nonnegative, got -1" % flag in err
 
 
 def test_exit_code_invariant_violation(capsys, monkeypatch):

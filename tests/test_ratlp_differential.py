@@ -207,6 +207,8 @@ def test_solve_chain_optimum_and_certificate():
         if sum(len(t.word) for t in c.terms) >= 9:
             longer.append(c)
     for c in chains + longer:
+        # every solve here is fresh, not a result cache hit
+        sclenc._scl_cache.clear()
         enc, got = sclenc.solve_chain(c)
         if enc is None:
             continue
@@ -219,6 +221,7 @@ def test_solve_chain_optimum_and_certificate():
         assert got.value == want.value, c
         cert = sclenc.decode_certificate(enc, got)
         assert qq(-cert.chi, 2 * cert.degree) == got.value / enc.scale / 2
+        sclenc._scl_cache.clear()
         with pytest.raises(ResourceLimitError):
             sclenc.solve_chain(c, max_pivots=got.pivots - 1)
 

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import pathlib
 from collections import OrderedDict
 
@@ -15,6 +16,7 @@ from sclkit.errors import (InvariantViolationError, NotBoundaryError,
 from sclkit.freegroup import (canonicalize, chain_of, invert, scale_chain,
                               single_chain, word)
 from sclkit.rational import qq
+from sclkit.ratlp import verify
 from sclkit.sclenc import (build_lp, decode_certificate, enumerate_pieces,
                            enumerate_rectangles, prepare, scl, solve_chain)
 
@@ -185,13 +187,12 @@ def test_scl_not_boundary():
         scl(parse_chain("ab").chain)
 
 
-def test_scl_letter_cap():
-    # a chain no other test computes, so the result cache cannot shortcut
+def test_scl_letter_cap(empty_cache):
     with pytest.raises(ResourceLimitError):
         scl(parse_chain("[a,d] + [b,c]").chain, max_letters=4)
 
 
-def test_scl_pivot_cap():
+def test_scl_pivot_cap(empty_cache):
     with pytest.raises(ResourceLimitError):
         scl(parse_chain("[a,c]").chain, max_pivots=2)
 
@@ -203,29 +204,119 @@ def test_scl_cache_hits():
     assert first == second == qq(1, 2)
 
 
-def test_scl_cache_keeps_caps():
+def test_scl_cache_keeps_caps(empty_cache):
     # a hit must raise exactly when a fresh solve under the caps would
     c = parse_chain("aabbAABB").chain
-    assert scl(c) == qq(1, 2)
-    with pytest.raises(ResourceLimitError):
-        scl(c, max_pivots=3)
-    with pytest.raises(ResourceLimitError):
-        scl(c, max_letters=4)
     pivots = solve_chain(c)[1].pivots
+    for hit in (False, True):
+        if hit:
+            assert scl(c) == qq(1, 2)
+        else:
+            empty_cache.clear()
+        for caps in ({"max_pivots": 3}, {"max_letters": 4},
+                     {"max_pivots": pivots - 1}):
+            with pytest.raises(ResourceLimitError):
+                scl(c, **caps)
+        assert len(empty_cache) == hit
     assert scl(c, max_letters=8, max_pivots=pivots) == qq(1, 2)
-    with pytest.raises(ResourceLimitError):
-        scl(c, max_pivots=pivots - 1)
+
+
+def ray(expr):
+    """The cache key of a chain: its prepared chain over the gcd of its
+    coefficients."""
+    prepared, _ = prepare(canonicalize(chain(expr)))
+    g = math.gcd(*(t.coefficient.numerator for t in prepared.terms))
+    return scale_chain(prepared, qq(1, g))
 
 
 def test_scl_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(sclenc, "_scl_cache", OrderedDict())
     monkeypatch.setattr(sclenc, "_SCL_CACHE_SIZE", 2)
-    chains = [canonicalize(chain(e)) for e in ("[a,b]", "a + b + BA", "[a,c]")]
-    for c in chains:
-        scl(c)
-    scl(chains[1])  # a hit makes it the most recently used
-    scl(chain("[b,c]"))
-    assert list(sclenc._scl_cache) == [chains[1], canonicalize(chain("[b,c]"))]
+    for e in ("[a,b]", "a + b + BA", "2*[a,c]"):
+        scl(chain(e))
+    assert list(sclenc._scl_cache) == [ray("a + b + BA"), ray("[a,c]")]
+    scl(chain("3*a + 3*b + 3*BA"))  # a hit makes its ray the most recent
+    scl(chain("1/2*[b,c]"))
+    assert list(sclenc._scl_cache) == [ray("a + b + BA"), ray("[b,c]")]
+    assert ray("1/2*[b,c]") == ray("[b,c]") == canonicalize(chain("[b,c]"))
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    """An empty result cache for one test; the shared one is restored."""
+    monkeypatch.setattr(sclenc, "_scl_cache", OrderedDict())
+    return sclenc._scl_cache
+
+
+def no_solve(monkeypatch):
+    """From here on, a call to the solver or to verify fails the test."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a cache hit solved or verified")
+    monkeypatch.setattr(sclenc, "solve_min", fail)
+    monkeypatch.setattr(sclenc, "verify", fail)
+
+
+def test_ray_cache_hit_equals_fresh_solve(empty_cache):
+    rng = seeded(4242)
+    cases = [chain(expr) for expr, value in SCL_CORPUS if value]
+    cases += [random_trivial_chain(rng, rank=rng.choice((2, 3)),
+                                   max_letters=8) for _ in range(24)]
+    for c in cases:
+        for k in (qq(2), qq(3, 2), qq(1, 3)):
+            empty_cache.clear()
+            _, fresh = solve_chain(scale_chain(c, k))
+            empty_cache.clear()
+            solve_chain(c)
+            enc, hit = solve_chain(scale_chain(c, k))
+            assert len(empty_cache) == 1
+            assert hit == fresh, (c, k)
+            assert verify(enc.lp, hit)
+            cert = decode_certificate(enc, hit)
+            assert qq(-cert.chi, 2 * cert.degree) / enc.scale == \
+                k * scl(c), (c, k)
+
+
+def test_ray_cache_spellings_are_hits(empty_cache, monkeypatch):
+    enc, result = solve_chain(chain("2*[a,b] + ab - a - b"))
+    stored = dict(empty_cache)
+    no_solve(monkeypatch)
+    for spelling in ("2*bABa + ab - a - b",  # a rotation
+                     "2*b[a,b]B + ab - a - b",  # a conjugate
+                     "-2*baBA + ab - a - b",  # c*w as -c*w^-1
+                     "abABabAB + ab - a - b",  # c/2*w^2 with c = 2
+                     "4*[a,b] + 2*ab - 2*a - 2*b"):  # a multiple
+        hit_enc, hit = solve_chain(chain(spelling))
+        assert dict(empty_cache) == stored, spelling
+        assert hit_enc.chain == scale_chain(enc.chain, hit.value
+                                            / result.value)
+        assert verify(hit_enc.lp, hit)
+
+
+def test_scl_reads_the_ray_cache(empty_cache, monkeypatch):
+    c = chain("2*[a,b] + ab - a - b")
+    assert scl(c) == 1
+    no_solve(monkeypatch)
+
+    def no_encode(*args, **kwargs):
+        raise AssertionError("a cache hit in scl encoded the chain")
+    monkeypatch.setattr(sclenc, "build_lp", no_encode)
+    assert scl(scale_chain(c, 2)) == 2
+    assert scl(scale_chain(c, qq(1, 3))) == qq(1, 3)
+    assert len(empty_cache) == 1
+
+
+def test_solve_chain_hit_keeps_caps(empty_cache):
+    c = chain("aabbAABB")
+    pivots = solve_chain(c)[1].pivots
+    for k in (1, 2):
+        ck = scale_chain(c, k)
+        with pytest.raises(ResourceLimitError, match="pivot cap"):
+            solve_chain(ck, max_pivots=pivots - 1)
+        with pytest.raises(ResourceLimitError, match="8 letters, cap is 7"):
+            solve_chain(ck, max_letters=7)
+        assert solve_chain(ck, max_letters=8,
+                           max_pivots=pivots)[1].pivots == pivots
+    assert len(empty_cache) == 1
 
 
 def test_decode_certificate_abAB():
@@ -302,6 +393,7 @@ def test_subadditivity_random():
 def test_determinism():
     c = parse_chain("2*abAB + ab - a - b").chain
     enc1, res1 = solve_chain(c)
+    sclenc._scl_cache.clear()  # two fresh solves, not a solve and its hit
     enc2, res2 = solve_chain(c)
     assert res1 == res2
     assert enc1.lp == enc2.lp
