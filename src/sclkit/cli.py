@@ -17,6 +17,7 @@ from . import immersion, rotation, sclenc, surfcert
 from .chainexpr import format_chain, format_word, parse_chain, parse_word
 from .errors import (InvariantViolationError, NotBoundaryError,
                      ResourceLimitError, SclError)
+from .freegroup import prepare
 from .rational import fmt, qq
 
 SOFT_BUDGET_SECONDS = 60.0
@@ -201,7 +202,7 @@ def _cmd_certify(args):
 
 def _cmd_matchbound(args):
     ce = parse_chain(args.chain)
-    prepared, scale = sclenc.prepare(ce.chain)
+    _, scale = prepare(ce.chain)
     cert, m = surfcert.search_matching(ce.chain, n=args.degree)
     bound = qq(-cert.chi, 2 * args.degree * scale)
     record = {"input": args.chain, "chain": format_chain(ce.chain),
@@ -221,9 +222,9 @@ def _parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a structured JSON document")
-    common.add_argument("--max-letters", type=_cap, default=24,
+    common.add_argument("--max-letters", type=_cap, default=sclenc.MAX_LETTERS,
                         help="cap on letters in the prepared chain")
-    common.add_argument("--max-pivots", type=_cap, default=10 ** 6,
+    common.add_argument("--max-pivots", type=_cap, default=sclenc.MAX_PIVOTS,
                         help="cap on exact simplex pivots")
     top = argparse.ArgumentParser(
         prog="sclkit",

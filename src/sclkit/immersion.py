@@ -78,16 +78,16 @@ def _commutator_word(w):
     return w
 
 
-def bounds_immersed(chain, max_letters=24, max_pivots=10 ** 6):
+def bounds_immersed(chain, **limits):
     """Exact test of scl(C) = rot(C)/2 for a homologically trivial chain.
 
     Signed equality: inverting every word negates rot and preserves scl,
     so a chain with rot < 0 fails here and its orientation reversal is
-    the one to test.
+    the one to test.  The limits, max_letters and max_pivots, go to
+    sclenc.scl, as in every function below.
     """
     canon = canonicalize(_as_rank2(chain))
-    require_boundary(canon)
-    s = sclenc.scl(canon, max_letters=max_letters, max_pivots=max_pivots)
+    s = sclenc.scl(canon, **limits)
     r = qq(rotation.rot(canon))
     if 2 * s < abs(r):
         raise InvariantViolationError(
@@ -95,7 +95,7 @@ def bounds_immersed(chain, max_letters=24, max_pivots=10 ** 6):
     return CriterionReport(canon, s, r, 2 * s == r)
 
 
-def minimal_stabilization(chain, rmax, max_letters=24, max_pivots=10 ** 6):
+def minimal_stabilization(chain, rmax, **limits):
     """Criterion table for C + R * abAB, R = 0..rmax, and the least good R.
 
     Once the equality holds at some R it must hold at every larger R
@@ -111,7 +111,7 @@ def minimal_stabilization(chain, rmax, max_letters=24, max_pivots=10 ** 6):
     minimal = None
     for r in range(rmax + 1):
         stabilized = add_chains(base, scale_chain(boundary, r))
-        report = bounds_immersed(stabilized, max_letters, max_pivots)
+        report = bounds_immersed(stabilized, **limits)
         table.append(report)
         if report.bounds_immersed:
             if minimal is None:
@@ -122,7 +122,7 @@ def minimal_stabilization(chain, rmax, max_letters=24, max_pivots=10 ** 6):
     return StabilizationReport(base, boundary, tuple(table), minimal)
 
 
-def scan_conjecture(w, n_values, max_letters=24, max_pivots=10 ** 6):
+def scan_conjecture(w, n_values, **limits):
     """Criterion table for the single-word family w (abAB)^n.
 
     w must be a nontrivial rank-2 word in the commutator subgroup.  The
@@ -136,7 +136,7 @@ def scan_conjecture(w, n_values, max_letters=24, max_pivots=10 ** 6):
     persistent = True
     for n in n_values:
         wn = concat(w, word_power(BOUNDARY_CLASS, n))
-        report = bounds_immersed(single_chain(wn), max_letters, max_pivots)
+        report = bounds_immersed(single_chain(wn), **limits)
         entries.append((n, report))
         if report.bounds_immersed:
             if first is None:
@@ -147,7 +147,7 @@ def scan_conjecture(w, n_values, max_letters=24, max_pivots=10 ** 6):
                       persistent if first is not None else False)
 
 
-def corollary_check(w, n, max_letters=24, max_pivots=10 ** 6):
+def corollary_check(w, n, **limits):
     """Compare scl((abAB)^n c w c^-1) in rank 3 with (|n + rot(w)| + 1)/2.
 
     Returns (lhs, rhs, equal).  The identity is proved only for |n| large
@@ -157,8 +157,7 @@ def corollary_check(w, n, max_letters=24, max_pivots=10 ** 6):
     c = make_word((3,), 3)
     inserted = concat(with_rank(word_power(BOUNDARY_CLASS, n), 3),
                       c, with_rank(w, 3), invert(c))
-    lhs = sclenc.scl(single_chain(inserted),
-                     max_letters=max_letters, max_pivots=max_pivots)
+    lhs = sclenc.scl(single_chain(inserted), **limits)
     r = rotation.rot(single_chain(w))
     rhs = qq(abs(n + r) + 1, 2)
     return lhs, rhs, lhs == rhs

@@ -18,23 +18,15 @@ from dataclasses import dataclass, replace
 from . import surfcert
 from .errors import InvariantViolationError, ResourceLimitError
 from .freegroup import (Chain, Word, canonicalize, is_cyclically_reduced,
-                        prepare, require_boundary, scale_chain)
+                        prepare, scale_chain)
 from .rational import ZERO, denominator_lcm, qq
 from .ratlp import LinearProgram, solve_min, verify
 
 
-@dataclass(frozen=True)
-class RectangleVar:
-    """Pairs slots p, q carrying exactly inverse letters.
-
-    Side 1 runs from the corner after p to the corner before q; side 2
-    from the corner after q to the corner before p.
-    """
-
-    p: tuple  # letter slot (term, pos)
-    q: tuple
-    s1: tuple  # (start corner, end corner), each (term, gap)
-    s2: tuple
+# the default resource caps of every solve: letters of the prepared chain
+# and exact simplex pivots
+MAX_LETTERS = 24
+MAX_PIVOTS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -42,14 +34,17 @@ class Encoding:
     """The LP of a prepared chain and the names of its rows and columns.
 
     A letter slot is (term, pos), and the corner (term, gap) after it is
-    the same tuple.  A real side, one of the two wedge-point sides of a
-    rectangle, is (0, rect, which); a dummy side, a gluing diagonal, is
-    (1, start corner, end corner).  A piece is the tuple of its sides in
-    cyclic order, starting at its least side.  Each tuple is its own sort
-    key: tuples compare entry by entry, so the tag puts every real side
-    before every dummy side, and no key is kept beside them.  The columns
-    are the rectangles, then the pieces, bigons before triangles, each in
-    tuple order; the dummy rows follow dummy_types.
+    the same tuple.  A rectangle is (p, q, s1, s2): slots p < q carrying
+    exactly inverse letters, and its two wedge-point sides as (start
+    corner, end corner), s1 from the corner after p to the corner before
+    q and s2 from the corner after q to the corner before p.  A real side,
+    one of those two, is (0, rect, which); a dummy side, a gluing
+    diagonal, is (1, start corner, end corner).  A piece is the tuple of
+    its sides in cyclic order, starting at its least side.  Each tuple is
+    its own sort key: tuples compare entry by entry, so the tag puts every
+    real side before every dummy side, and no key is kept beside them.
+    The columns are the rectangles, then the pieces, bigons before
+    triangles, each in tuple order; the dummy rows follow dummy_types.
     """
 
     chain: Chain  # prepared: cyclic words, positive integer coefficients
@@ -98,7 +93,7 @@ def enumerate_rectangles(chain):
                 q = slots[b]
                 s1 = (p, _corner_before(chain, q))
                 s2 = (q, _corner_before(chain, p))
-                rects.append(RectangleVar(p, q, s1, s2))
+                rects.append((p, q, s1, s2))
     return tuple(rects)
 
 
@@ -120,8 +115,8 @@ def enumerate_pieces(chain, rectangles=None):
     dummy = [[(1, a, b) for b in corners] for a in corners]
     # real side table: (side, start corner index, end corner index)
     sides = [((0, ri, which), index[a], index[b])
-             for ri, rect in enumerate(rectangles)
-             for which, (a, b) in ((1, rect.s1), (2, rect.s2))]
+             for ri, (_, _, s1, s2) in enumerate(rectangles)
+             for which, (a, b) in ((1, s1), (2, s2))]
     starts = [[] for _ in corners]
     for entry in sides:
         starts[entry[1]].append(entry)
@@ -155,7 +150,7 @@ _NET = {k: qq(k) for k in range(-3, 4)}
 _PIECE_COST = {k: qq(k - 2, 2) for k in range(4)}  # by dummy side count
 
 
-def build_lp(chain, max_letters=24):
+def build_lp(chain, max_letters=MAX_LETTERS):
     """Assemble the full encoding of a homologically trivial chain.
 
     The chain is prepared first (integer positive coefficients); the LP
@@ -172,8 +167,11 @@ def build_lp(chain, max_letters=24):
     Sides are their own keys (see Encoding), so nothing maps them to rows
     but the dummy pairs' (row, sign).
     """
-    prepared, scale = prepare(chain)
-    _check_letters(sum(len(t.word) for t in prepared.terms), max_letters)
+    prepared, scale = prepare(chain)  # raises unless a boundary
+    letters = sum(len(t.word) for t in prepared.terms)
+    if letters > max_letters:
+        raise ResourceLimitError(
+            "chain has %d letters, cap is %d" % (letters, max_letters))
     rectangles = enumerate_rectangles(prepared)
     pieces = enumerate_pieces(prepared, rectangles)
     slots = _slots(prepared)
@@ -200,9 +198,9 @@ def build_lp(chain, max_letters=24):
     # term coefficient; side matching: rectangle weight equals the total
     # piece usage of the side
     cover = {slot: i for i, slot in enumerate(slots)}
-    for ri, rect in enumerate(rectangles):
-        rows[cover[rect.p]].append((ri, _ONE))
-        rows[cover[rect.q]].append((ri, _ONE))
+    for ri, (p, q, _, _) in enumerate(rectangles):
+        rows[cover[p]].append((ri, _ONE))
+        rows[cover[q]].append((ri, _ONE))
         rows[ncover + 2 * ri].append((ri, _ONE))
         rows[ncover + 2 * ri + 1].append((ri, _ONE))
     # dummy matching: usage of each ordered pair equals usage of its
@@ -233,31 +231,20 @@ def build_lp(chain, max_letters=24):
                     tuple(sorted(dummy_types)), lp, tuple(meta))
 
 
-# The result cache, least recently used first.  Its key is a ray, the
-# positive multiples of one prepared chain, named by its primitive chain
-# (the integer coefficients divided by their gcd g); its entry is the
-# verified LPResult of that primitive chain.  g*C has C's LP with the
-# cover-row rhs times g, and ratlp reads the rhs only through which rows
-# are zero and through ratios, so a fresh solve of g*C makes the same
-# pivots and gives the same dual, with value and primal times g; verify
-# is homogeneous in (rhs, primal, value), so it accepts the one iff the
-# other.  A hit therefore returns the entry scaled by g with no solve and
-# no verify, and replays the caps: the letter count is the key's and the
-# pivot count is stored.  An entry holds a primal slot per column (8
-# bytes, zeros shared) and a dual rational per row (about 100 bytes):
-# about 7 KB at 8 letters and 23 KB at 14 by tracemalloc, against under
-# 0.3 KB for a bare value.  So the cap is 1024 entries, about 24 MB if
-# all are 14-letter chains; the worst case, 1024 chains at the default
-# cap of 24 letters (4468 columns, 444 rows), is about 80 MB, though
-# solves that long are far beyond reach today.
+# The result cache of solve_chain, least recently used first.  Its key is
+# a ray, the positive multiples of one prepared chain, named by its
+# primitive chain (the integer coefficients divided by their gcd g); its
+# entry is the verified LPResult of that primitive chain.  g*C has C's LP
+# with the cover-row rhs times g, and ratlp reads the rhs only through
+# which rows are zero and through ratios, so a fresh solve of g*C makes
+# the same pivots and gives the same dual, with value and primal times g;
+# verify is homogeneous in (rhs, primal, value), so it accepts the one iff
+# the other.  An entry holds a primal slot per column and a dual rational
+# per row: about 7 KB at 8 letters and 23 KB at 14 by tracemalloc.  So
+# the cap is 1024 entries, about 24 MB if all are 14-letter chains and
+# about 80 MB if all are at the default cap of 24 letters.
 _scl_cache = OrderedDict()
 _SCL_CACHE_SIZE = 1024
-
-
-def _check_letters(total_letters, max_letters):
-    if total_letters > max_letters:
-        raise ResourceLimitError(
-            "chain has %d letters, cap is %d" % (total_letters, max_letters))
 
 
 def _scaled(result, k):
@@ -268,24 +255,7 @@ def _scaled(result, k):
                    primal=tuple(v * k if v else v for v in result.primal))
 
 
-def _lookup(prepared, max_pivots):
-    """(key, g, cached result of the key or None) for a prepared chain.
-
-    On a hit the pivot cap is replayed and the entry becomes the most
-    recently used; the caller has checked the letter cap already, as a
-    fresh solve checks it before pivoting.
-    """
-    g = math.gcd(*(t.coefficient.numerator for t in prepared.terms))
-    key = scale_chain(prepared, qq(1, g))
-    cached = _scl_cache.get(key)
-    if cached is not None:
-        if cached.pivots > max_pivots:
-            raise ResourceLimitError("pivot cap exceeded (%d)" % max_pivots)
-        _scl_cache.move_to_end(key)
-    return key, g, cached
-
-
-def solve_chain(chain, max_letters=24, max_pivots=10 ** 6):
+def solve_chain(chain, max_letters=MAX_LETTERS, max_pivots=MAX_PIVOTS):
     """Canonicalize, encode, solve, and verify; returns (encoding, result).
 
     The LP optimum is result.value; scl is result.value / (2 * scale).
@@ -298,22 +268,24 @@ def solve_chain(chain, max_letters=24, max_pivots=10 ** 6):
     by an optimal vertex; each joins the pricing only once it prices out
     negative, and the solve ends only when no column does (see ratlp).
 
-    Results are cached by ray: the key is the prepared chain enc.chain
-    divided by the gcd g of its coefficients, and the entry is the
-    verified result of that primitive chain.  A hit still encodes the
-    chain, so the letter cap raises as before, and raises
-    ResourceLimitError when the stored pivot count exceeds max_pivots;
-    otherwise it returns the stored result with value and primal times
-    g, dual and pivots as stored, which is exactly what a fresh solve
-    would return and what verify would accept, so neither runs.
+    Results are cached by ray (see _scl_cache).  A hit still encodes the
+    chain, so build_lp checks the boundary and then the letter cap, as on
+    a fresh solve.  It raises ResourceLimitError if the stored pivot count
+    exceeds max_pivots, and otherwise returns the stored result with value
+    and primal times g, which is what a fresh solve would return, with no
+    solve and no verify.
     """
     cchain = canonicalize(chain)
-    require_boundary(cchain)
     if cchain.is_empty():
         return None, None
     enc = build_lp(cchain, max_letters=max_letters)
-    key, g, cached = _lookup(enc.chain, max_pivots)
+    g = math.gcd(*(t.coefficient.numerator for t in enc.chain.terms))
+    key = scale_chain(enc.chain, qq(1, g))
+    cached = _scl_cache.get(key)
     if cached is not None:
+        if cached.pivots > max_pivots:
+            raise ResourceLimitError("pivot cap exceeded (%d)" % max_pivots)
+        _scl_cache.move_to_end(key)
         return enc, _scaled(cached, g)
     # a rectangle costs 1 and a piece dummies/2 - 1, with at most
     # len - 1 dummy sides, so only the one-real triangles cost 0
@@ -332,30 +304,13 @@ def solve_chain(chain, max_letters=24, max_pivots=10 ** 6):
     return enc, result
 
 
-def scl(chain, max_letters=24, max_pivots=10 ** 6):
-    """Exact stable commutator length of a homologically trivial chain.
-
-    Reads the result cache of solve_chain (see there) without encoding:
-    the key is the prepared chain over the gcd g of its coefficients, and
-    a hit returns the stored value * g / (2 * scale), with scale the
-    multiplier that made the chain integral.  A hit raises
-    ResourceLimitError exactly when a fresh solve under the given caps
-    would: the letter cap is checked on the prepared chain, as build_lp
-    checks it, and the pivot count is a property of the LP, not of the
-    run.  It runs no verify: the entry was verified when stored, and g
-    times it is what a fresh solve of the chain would give.
-    """
-    cchain = canonicalize(chain)
-    if cchain.is_empty():
-        return ZERO
-    prepared, scale = prepare(cchain)  # raises unless a boundary
-    _check_letters(sum(len(t.word) for t in prepared.terms), max_letters)
-    _, g, cached = _lookup(prepared, max_pivots)
-    if cached is None:
-        enc, result = solve_chain(cchain, max_letters=max_letters,
-                                  max_pivots=max_pivots)
-        return result.value / (2 * enc.scale)
-    return cached.value * g / (2 * scale)
+def scl(chain, max_letters=MAX_LETTERS, max_pivots=MAX_PIVOTS):
+    """Exact stable commutator length of a homologically trivial chain:
+    solve_chain's verified optimum over 2 * scale, or 0 for a chain that
+    canonicalizes to zero."""
+    enc, result = solve_chain(chain, max_letters=max_letters,
+                              max_pivots=max_pivots)
+    return ZERO if enc is None else result.value / (2 * enc.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +396,7 @@ def _trace_boundary(encoding, rect_counts, piece_counts, partner):
         cur, letters, terms = start, [], set()
         while cur not in arc_at:
             ri, role, copy = cur
-            slot = rects[ri].p if role == "p" else rects[ri].q
+            slot = rects[ri][0 if role == "p" else 1]
             arc_at[cur] = (len(circles), len(letters))
             letters.append(_letter(encoding.chain, slot))
             terms.add(slot[0])

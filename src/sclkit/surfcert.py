@@ -276,6 +276,8 @@ def search_matching(chain, n=1, max_nodes=10 ** 7):
     of the chi-maximal pairing; -chi/(2n) is then an upper bound for
     scl of the prepared chain.
     """
+    if n < 1:
+        raise ValueError("degree must be positive, got %d" % n)
     prepared, _ = prepare(chain)
     if prepared.is_empty():
         # canonically zero chain: the empty surface bounds it, chi = 0

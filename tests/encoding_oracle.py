@@ -12,10 +12,11 @@ from sclkit.errors import InvariantViolationError, ResourceLimitError
 from sclkit.freegroup import prepare
 from sclkit.rational import ZERO, qq
 from sclkit.ratlp import LinearProgram
-from sclkit.sclenc import Encoding, RectangleVar
+from sclkit.sclenc import Encoding
 
-# slots and corners are (term, pos); sides are (0, rect, which) or
-# (1, start corner, end corner); a piece is the tuple of its sides
+# slots and corners are (term, pos); a rectangle is (p, q, s1, s2);
+# sides are (0, rect, which) or (1, start corner, end corner); a piece is
+# the tuple of its sides
 
 
 def _real(rect, which):
@@ -57,7 +58,7 @@ def enumerate_rectangles(chain):
             if _letter(chain, p) == -_letter(chain, q):
                 s1 = (_corner_after(p), _corner_before(chain, q))
                 s2 = (_corner_after(q), _corner_before(chain, p))
-                rects.append(RectangleVar(p, q, s1, s2))
+                rects.append((p, q, s1, s2))
     return tuple(rects)
 
 
@@ -76,9 +77,9 @@ def _rotate_min_first(sides):
 
 def enumerate_pieces(chain, rectangles):
     sides = []
-    for ri, rect in enumerate(rectangles):
-        sides.append((_real(ri, 1), rect.s1[0], rect.s1[1]))
-        sides.append((_real(ri, 2), rect.s2[0], rect.s2[1]))
+    for ri, (_, _, s1, s2) in enumerate(rectangles):
+        sides.append((_real(ri, 1), s1[0], s1[1]))
+        sides.append((_real(ri, 2), s2[0], s2[1]))
     corners = sorted({_corner_after(s) for s in _slots(chain)})
     starts = {}
     for entry in sides:
@@ -129,8 +130,8 @@ def build_lp(chain, max_letters=24):
     meta = []
     for slot in slots:
         entries = {}
-        for ri, rect in enumerate(rectangles):
-            if rect.p == slot or rect.q == slot:
+        for ri, (p, q, _, _) in enumerate(rectangles):
+            if p == slot or q == slot:
                 entries[ri] = qq(1)
         rows.append(entries)
         rhs.append(qq(prepared.terms[slot[0]].coefficient))

@@ -186,6 +186,24 @@ def test_exit_code_not_boundary(capsys):
     assert "homologically trivial" in err
 
 
+@pytest.mark.parametrize("subcommand", ["scl", "immersed"])
+def test_exit_code_not_boundary_over_letter_cap(capsys, subcommand):
+    # 30 prepared letters: the boundary check comes before the letter cap
+    code, out, err = run(capsys, subcommand, "ab + [aabab,bbaba] + [abb,aab]")
+    assert (code, out) == (3, "")
+    assert "homologically trivial" in err
+    code, out, err = run(capsys, subcommand, "[aabab,bbaba] + [abb,aab]")
+    assert (code, out) == (4, "")
+    assert "chain has 28 letters, cap is 24" in err
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_exit_code_matchbound_bad_degree(capsys, degree):
+    code, out, err = run(capsys, "matchbound", "abAB", "--degree", degree)
+    assert (code, out) == (2, "")
+    assert err == "error: degree must be positive, got %s\n" % degree
+
+
 def test_exit_code_rank_mismatch(capsys):
     code, _, err = run(capsys, "immersed", "[a,c]")
     assert code == 2
@@ -243,7 +261,7 @@ def test_exit_code_persistence_guard(capsys, monkeypatch):
     verdicts = iter([True, False])
     monkeypatch.setattr(
         sclkit.immersion, "bounds_immersed",
-        lambda chain, *caps: sclkit.immersion.CriterionReport(
+        lambda chain, **limits: sclkit.immersion.CriterionReport(
             chain, qq(1, 2), qq(1), next(verdicts)))
     code, out, err = run(capsys, "stabilize", "abAB", "--max-R", "3")
     assert code == 5

@@ -49,6 +49,12 @@ def test_criterion_requires_boundary_and_rank2():
         bounds_immersed(parse_chain("[a,c]").chain)
 
 
+def test_criterion_boundary_check_precedes_letter_cap():
+    # 30 prepared letters, over the default cap, and not a boundary
+    with pytest.raises(NotBoundaryError):
+        bounds_immersed(chain("ab + [aabab,bbaba] + [abb,aab]"))
+
+
 def test_criterion_rank1_embeds():
     rep = bounds_immersed(parse_chain("a + A").chain)
     assert rep.chain.rank == 2
@@ -105,8 +111,8 @@ def test_stabilization_persistence_guard(monkeypatch):
     verdicts = iter([True, False])
     monkeypatch.setattr(
         immersion, "bounds_immersed",
-        lambda chain, *caps: CriterionReport(chain, qq(1, 2), qq(1),
-                                             next(verdicts)))
+        lambda chain, **limits: CriterionReport(chain, qq(1, 2), qq(1),
+                                                next(verdicts)))
     with pytest.raises(InvariantViolationError,
                        match="equality at R = 0 did not persist at R = 1"):
         minimal_stabilization(parse_chain("abAB").chain, 3)

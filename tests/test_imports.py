@@ -90,3 +90,24 @@ def test_no_floating_point():
             elif isinstance(node, ast.ImportFrom) and node.module == "math":
                 found.append("%s.py:%d from math import" % (name, node.lineno))
     assert found == []
+
+
+def test_caps_declared_once():
+    # the default caps are sclenc.MAX_LETTERS and sclenc.MAX_PIVOTS (ratlp,
+    # below sclenc, keeps its own pivot default); everything above forwards
+    found = []
+    for name, tree in parsed_modules().items():
+        if name in ("sclenc", "ratlp"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a for a, d in zip(args.kwonlyargs,
+                                                args.kw_defaults) if d]
+                found += ["%s.py:%d %s" % (name, node.lineno, a.arg)
+                          for a in defaulted
+                          if a.arg in ("max_letters", "max_pivots")]
+    assert found == []

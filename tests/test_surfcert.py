@@ -183,6 +183,14 @@ def test_search_matching_degree():
     assert chains_equal(cert.boundary, scale_chain(c, 2))
 
 
+def test_search_matching_rejects_nonpositive_degree():
+    c = parse_chain("abAB").chain
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="degree must be positive, got %d"
+                           % n):
+            search_matching(c, n=n)
+
+
 def test_search_matching_bounds_scl():
     rng = seeded(808)
     checked = 0
