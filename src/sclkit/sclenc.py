@@ -9,6 +9,17 @@ sides or dummy diagonals (ordered corner pairs).  Weighting rectangles
 and pieces nonnegatively and matching sides exactly yields a finite LP
 whose optimum equals 2*scl(chain); optimal vertices decode to explicit
 surface certificates.
+
+One walk (_walk) makes the pieces in column order, appending each
+column's row entries and cost as it goes: the bigons, then for each real
+side s from corner a to corner b, in side order, the triangles whose
+least side is s.  First come (s, s2, .) for each real s2 > s starting at
+b, the 3-real (s, s2, s3) before the 2-real (s, s2, d(b2, a)); then
+(s, d(b, y), .) for each corner y, the 2-real (s, d(b, y), s1) for each
+real s1 > s from y to a before the 1-real (s, d(b, y), d(y, a)).  Tuples
+compare entry by entry, every real side is less than every dummy side
+and corners are numbered in sorted order, so this is the sorted order of
+the piece tuples, with each piece made once, from its least side.
 """
 
 import math
@@ -44,7 +55,8 @@ class Encoding:
     its own sort key: tuples compare entry by entry, so the tag puts every
     real side before every dummy side, and no key is kept beside them.
     The columns are the rectangles, then the pieces, bigons before
-    triangles, each in tuple order; the dummy rows follow dummy_types.
+    triangles, each in tuple order, which is the order the walk makes
+    them in (see the module docstring); the dummy rows follow dummy_types.
     """
 
     chain: Chain  # prepared: cyclic words, positive integer coefficients
@@ -97,6 +109,114 @@ def enumerate_rectangles(chain):
     return tuple(rects)
 
 
+# the few exact values that LP entries and piece costs take
+_ONE, _NEG = qq(1), qq(-1)
+_COST = tuple(qq(k - 2, 2) for k in range(3))  # dummies/2 - 1, by dummies
+
+
+def _walk(chain, rectangles):
+    """The pieces in column order and the LP rows they enter, made in one
+    walk: (pieces, dummy_types, row_meta, rows, objective), where rows[i]
+    lists the (column, value) entries of row i.
+
+    The rows are a cover row per letter slot, the side rows (rect, 1) and
+    (rect, 2), then a row per pair of mutually reverse dummy sides, which
+    the lesser enters with +1 and the other with -1 (a loop has no row).
+    Dummy (1, c1, c2) occurs in a piece iff c1 is a real side's end or c2
+    a real side's start, so the dummy rows come from the real sides'
+    corners.  No piece enters a row twice: its real sides are distinct,
+    and its two dummy sides are reverse only if a real side ends where it
+    starts, which needs a word that is not cyclically reduced.
+    """
+    corners = _slots(chain)  # the corner after each slot, in sorted order
+    n, nrect = len(corners), len(rectangles)
+    index = {c: i for i, c in enumerate(corners)}
+    meta = [("cover", c) for c in corners]
+    meta += [("side", ri, which) for ri in range(nrect) for which in (1, 2)]
+    rows = [[] for _ in meta]
+    for ri, (p, q, _, _) in enumerate(rectangles):
+        for r in (index[p], index[q], n + 2 * ri, n + 2 * ri + 1):
+            rows[r].append((ri, _ONE))
+    # real side table: (side, start index, end index, its row), side order
+    sides = [((0, ri, which), index[a], index[b],
+              rows[n + 2 * ri + which - 1])
+             for ri, (_, _, s1, s2) in enumerate(rectangles)
+             for which, (a, b) in ((1, s1), (2, s2))]
+    starts = [[] for _ in corners]
+    between = [[[] for _ in corners] for _ in corners]  # by start, end
+    for side in sides:
+        starts[side[1]].append(side)
+        between[side[1]][side[2]].append(side)
+    begins, ends = ({side[k] for side in sides} for k in (1, 2))
+    # dummy[i][j]: the dummy side from corner i to corner j, its row and
+    # its sign there; a loop's entries go to a row that is dropped
+    dummy = [[None] * n for _ in corners]
+    types, loops = [], []
+    for i in range(n):
+        for j in range(n):
+            if i in ends or j in begins:
+                d = (1, corners[i], corners[j])
+                types.append(d)
+                if not (j in ends or i in begins):
+                    raise InvariantViolationError(
+                        "dummy type %r lacks its reverse" % (d,))
+                if i < j:
+                    meta.append(("dummy", d))
+                    rows.append([])
+                    dummy[i][j] = (d, rows[-1], _ONE)
+                    dummy[j][i] = ((1, d[2], d[1]), rows[-1], _NEG)
+                elif i == j:
+                    dummy[i][j] = (d, loops, _ONE)
+    pieces = []
+    objective = [_ONE] * nrect
+    col = nrect
+    add_piece, add_cost = pieces.append, objective.append
+    for s, a, b, row in sides:
+        for s2, _, _, row2 in between[b][a]:
+            if s2 > s:
+                add_piece((s, s2))
+                row.append((col, _NEG))
+                row2.append((col, _NEG))
+                col += 1
+    objective += [_COST[0]] * len(pieces)
+    for s, a, b, row in sides:
+        for s2, _, b2, row2 in starts[b]:
+            if s2 > s:
+                for s3, _, _, row3 in between[b2][a]:
+                    if s3 > s:
+                        add_piece((s, s2, s3))
+                        row.append((col, _NEG))
+                        row2.append((col, _NEG))
+                        row3.append((col, _NEG))
+                        add_cost(_COST[0])
+                        col += 1
+                d, drow, sign = dummy[b2][a]
+                add_piece((s, s2, d))
+                row.append((col, _NEG))
+                row2.append((col, _NEG))
+                drow.append((col, sign))
+                add_cost(_COST[1])
+                col += 1
+        for y in range(n):
+            d, drow, sign = dummy[b][y]
+            for s1, _, _, row1 in between[y][a]:
+                if s1 > s:
+                    add_piece((s, d, s1))
+                    row.append((col, _NEG))
+                    drow.append((col, sign))
+                    row1.append((col, _NEG))
+                    add_cost(_COST[1])
+                    col += 1
+            d2, drow2, sign2 = dummy[y][a]
+            add_piece((s, d, d2))
+            row.append((col, _NEG))
+            drow.append((col, sign))
+            drow2.append((col, sign2))
+            add_cost(_COST[2])
+            col += 1
+    return tuple(pieces), tuple(types), meta, rows, objective
+
+
 def enumerate_pieces(chain, rectangles=None):
     """All corner-compatible bigons (two rectangle sides) and triangles
     (at least one rectangle side, dummy diagonals for the rest).
@@ -104,50 +224,15 @@ def enumerate_pieces(chain, rectangles=None):
     A piece is the tuple of its sides, real (0, rect, which) or dummy
     (1, start, end), rotated to start at its least side; the pieces come
     bigons first, then triangles, each in tuple order, which is the
-    column order of build_lp.  Corners are numbered in sorted order, so
-    each dummy side is built once.
+    column order of build_lp: both read the one walk (see the module
+    docstring), so the order is defined in one place.  Like build_lp, it
+    raises InvariantViolationError if a dummy side lacks its reverse,
+    which needs a letter whose inverse is absent: never for a boundary.
     """
     _check_cyclic_words(chain)
     if rectangles is None:
         rectangles = enumerate_rectangles(chain)
-    corners = _slots(chain)  # the corner after each slot, in sorted order
-    index = {c: i for i, c in enumerate(corners)}
-    dummy = [[(1, a, b) for b in corners] for a in corners]
-    # real side table: (side, start corner index, end corner index)
-    sides = [((0, ri, which), index[a], index[b])
-             for ri, (_, _, s1, s2) in enumerate(rectangles)
-             for which, (a, b) in ((1, s1), (2, s2))]
-    starts = [[] for _ in corners]
-    for entry in sides:
-        starts[entry[1]].append(entry)
-    bigons, triangles = [], []
-    for s1, a1, b1 in sides:
-        # bigons and 2-real triangles: second side continues from b1
-        for s2, a2, b2 in starts[b1]:
-            if s2 == s1:
-                continue  # needs b1 == a1, impossible for cyclic words
-            if b2 == a1 and s1 < s2:
-                bigons.append((s1, s2))
-            # the sides are distinct and every dummy exceeds every real
-            # side, so the least rotation starts at the lesser real side
-            d = dummy[b2][a1]
-            triangles.append((s1, s2, d) if s1 < s2 else (s2, d, s1))
-            # 3-real triangles, s1 strictly minimal to dedupe rotations
-            if s2 > s1:
-                for s3, a3, b3 in starts[b2]:
-                    if b3 == a1 and s3 > s1:
-                        triangles.append((s1, s2, s3))
-        # 1-real triangles: both other sides are dummies through corner x
-        # (the one real side comes first, so the rotation is least)
-        for x in range(len(corners)):
-            triangles.append((s1, dummy[b1][x], dummy[x][a1]))
-    return tuple(sorted(bigons) + sorted(triangles))
-
-
-# the few exact values that LP entries and piece costs take
-_ONE = qq(1)
-_NET = {k: qq(k) for k in range(-3, 4)}
-_PIECE_COST = {k: qq(k - 2, 2) for k in range(4)}  # by dummy side count
+    return _walk(chain, rectangles)[0]
 
 
 def build_lp(chain, max_letters=MAX_LETTERS):
@@ -157,15 +242,13 @@ def build_lp(chain, max_letters=MAX_LETTERS):
     minimizes  sum(r) + sum(dummy_count/2 - 1, weighted)  which equals
     -chi of the assembled surface at degree one.
 
-    The rows are assembled in time linear in their nonzeros.  Each row's
-    index is fixed up front: one cover row per letter slot, then side
-    rows (rect, 1) and (rect, 2), then one row per pair of mutually
-    reverse dummy sides, which a dummy side enters with sign +1 when it
-    is the smaller tuple of the pair and -1 otherwise.  Each rectangle
-    writes its cover and side entries, and one pass over the pieces, in
-    column order, appends each piece's net usage to the rows it touches.
-    Sides are their own keys (see Encoding), so nothing maps them to rows
-    but the dummy pairs' (row, sign).
+    The rows are assembled in time linear in their nonzeros: the walk
+    (see the module docstring) makes each piece with its row entries and
+    cost, so the pieces are neither sorted nor read a second time.  The
+    rectangles' entries come first in every row: coverage (per letter
+    slot, incident rectangle weights sum to the term coefficient) and side
+    matching (rectangle weight equals the total piece usage of the side).
+    A malformed LP is an internal fault, InvariantViolationError.
     """
     prepared, scale = prepare(chain)  # raises unless a boundary
     letters = sum(len(t.word) for t in prepared.terms)
@@ -173,62 +256,17 @@ def build_lp(chain, max_letters=MAX_LETTERS):
         raise ResourceLimitError(
             "chain has %d letters, cap is %d" % (letters, max_letters))
     rectangles = enumerate_rectangles(prepared)
-    pieces = enumerate_pieces(prepared, rectangles)
+    pieces, dummy_types, meta, rows, objective = _walk(prepared, rectangles)
     slots = _slots(prepared)
-    nrect = len(rectangles)
-    ncover = len(slots)
-
-    dummy_types = {s for p in pieces for s in p if s[0]}
-    dummy_row = {}  # dummy side -> (row, sign); loops have no row
-    meta = [("cover", slot) for slot in slots]
-    meta += [("side", ri, which)
-             for ri in range(nrect) for which in (1, 2)]
-    for d in sorted(dummy_types):
-        r = (1, d[2], d[1])
-        if r not in dummy_types:
-            raise InvariantViolationError(
-                "dummy type %r lacks its reverse" % (d,))
-        if d < r:
-            dummy_row[d] = (len(meta), 1)
-            dummy_row[r] = (len(meta), -1)
-            meta.append(("dummy", d))
-
-    rows = [[] for _ in meta]
-    # coverage: per letter slot, incident rectangle weights sum to the
-    # term coefficient; side matching: rectangle weight equals the total
-    # piece usage of the side
-    cover = {slot: i for i, slot in enumerate(slots)}
-    for ri, (p, q, _, _) in enumerate(rectangles):
-        rows[cover[p]].append((ri, _ONE))
-        rows[cover[q]].append((ri, _ONE))
-        rows[ncover + 2 * ri].append((ri, _ONE))
-        rows[ncover + 2 * ri + 1].append((ri, _ONE))
-    # dummy matching: usage of each ordered pair equals usage of its
-    # reverse (loops are self-paired and give no constraint)
-    objective = [_ONE] * nrect
-    for col, p in enumerate(pieces, nrect):
-        net = {}
-        dummies = 0
-        for s in p:
-            if s[0]:
-                dummies += 1
-                entry = dummy_row.get(s)
-                if entry is not None:
-                    net[entry[0]] = net.get(entry[0], 0) + entry[1]
-            else:
-                r = ncover + 2 * s[1] + s[2] - 1
-                net[r] = net.get(r, 0) - 1
-        for r, v in net.items():
-            if v:
-                rows[r].append((col, _NET[v]))
-        objective.append(_PIECE_COST[dummies])
-
     rhs = [qq(prepared.terms[term].coefficient) for term, _ in slots]
-    rhs += [ZERO] * (len(meta) - ncover)
-    lp = LinearProgram(nrect + len(pieces), tuple(map(tuple, rows)),
-                       tuple(rhs), tuple(objective))
+    rhs += [ZERO] * (len(meta) - len(slots))
+    try:
+        lp = LinearProgram(len(objective), tuple(map(tuple, rows)),
+                           tuple(rhs), tuple(objective))
+    except ValueError as err:
+        raise InvariantViolationError("malformed scl LP: %s" % err) from err
     return Encoding(prepared, scale, tuple(slots), rectangles, pieces,
-                    tuple(sorted(dummy_types)), lp, tuple(meta))
+                    dummy_types, lp, tuple(meta))
 
 
 # The result cache of solve_chain, least recently used first.  Its key is

@@ -64,5 +64,16 @@ def random_trivial_chain(rng, rank=2, max_letters=12):
             return canon
 
 
+def random_multi_term_chain(rng, rank, min_letters, max_letters):
+    """Random homologically trivial chain of two or more terms, the sum of
+    two random_trivial_chain draws, with a canonical size in range."""
+    while True:
+        canon = canonicalize(add_chains(random_trivial_chain(rng, rank),
+                                        random_trivial_chain(rng, rank)))
+        total = sum(len(t.word) for t in canon.terms)
+        if len(canon.terms) > 1 and min_letters <= total <= max_letters:
+            return canon
+
+
 def seeded(seed):
     return random.Random(seed)

@@ -257,6 +257,19 @@ def test_exit_code_invariant_violation(capsys, monkeypatch):
     assert "disagrees" in err
 
 
+def test_exit_code_encoder_fault(capsys, monkeypatch):
+    # a malformed LP from build_lp is an internal fault, not a usage error
+    def malformed(*args):
+        raise ValueError("row columns must be strictly increasing")
+
+    monkeypatch.setattr(sclkit.sclenc, "LinearProgram", malformed)
+    code, out, err = run(capsys, "scl", "abAB")
+    assert code == 5
+    assert out == ""
+    assert err == ("error: malformed scl LP: row columns must be strictly "
+                   "increasing\n")
+
+
 def test_exit_code_persistence_guard(capsys, monkeypatch):
     verdicts = iter([True, False])
     monkeypatch.setattr(

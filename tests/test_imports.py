@@ -2,6 +2,7 @@
 no floating point reaches a computed value."""
 
 import ast
+import importlib
 import pathlib
 
 import sclkit
@@ -111,3 +112,20 @@ def test_caps_declared_once():
                           for a in defaulted
                           if a.arg in ("max_letters", "max_pivots")]
     assert found == []
+
+
+def test_traced_functions_exist():
+    # perfbench/spans.py wraps these by name; read its TRACED table (the
+    # file is parsed, not imported) so a renamed or folded function fails
+    # here rather than inside a traced benchmark run
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = root / "perfbench" / "spans.py"
+    tree = ast.parse(path.read_text(), str(path))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["TRACED"])
+    missing = ["sclkit.%s.%s" % pair for pair in traced
+               if not callable(getattr(importlib.import_module(
+                   "sclkit." + pair[0]), pair[1], None))]
+    assert traced
+    assert missing == [], "perfbench traces missing functions %s" % missing

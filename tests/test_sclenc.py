@@ -21,7 +21,8 @@ from sclkit.sclenc import (build_lp, decode_certificate, enumerate_pieces,
                            enumerate_rectangles, prepare, scl, solve_chain)
 
 import encoding_oracle
-from conftest import SCL_CORPUS, chain, random_trivial_chain, seeded
+from conftest import (SCL_CORPUS, chain, random_multi_term_chain,
+                      random_trivial_chain, seeded)
 
 
 def raw(expr):
@@ -119,11 +120,32 @@ def test_build_lp_matches_oracle():
     cases += [chain("aabbAABB + abABAbaB"),  # 16 letters
               chain("[aba,bbab] + abAB"),  # 18 letters
               chain("aabbAABBabAB + ab - a - b + abAB")]  # 20 letters
+    cases += [random_multi_term_chain(rng, 3, 13, 16) for _ in range(8)]
     for c in cases:
         c = canonicalize(c)
         if c.is_empty():
             continue
         assert build_lp(c) == encoding_oracle.build_lp(c), c
+
+
+def test_dummy_types_come_from_side_corners():
+    # build_lp derives the dummy types from the real sides' corners; they
+    # must be exactly the dummy sides that occur in pieces, each with its
+    # reverse, and the dummy rows one per reverse pair
+    rng = seeded(2718)
+    cases = [chain(expr) for expr, _ in SCL_CORPUS]
+    cases += [random_multi_term_chain(rng, rank, 4, 16)
+              for rank in (2, 3) for _ in range(15)]
+    for c in cases:
+        c = canonicalize(c)
+        if c.is_empty():
+            continue
+        enc = build_lp(c)
+        used = {s for p in enc.pieces for s in p if s[0]}
+        assert enc.dummy_types == tuple(sorted(used)), c
+        assert all((1, d[2], d[1]) in used for d in used), c
+        assert [m[1] for m in enc.row_meta if m[0] == "dummy"] == [
+            d for d in enc.dummy_types if d[1] < d[2]], c
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
