@@ -16,9 +16,8 @@ from .freegroup import (Chain, ChainTerm, Word, add_chains, canonicalize,
                         make_word, scale_chain, single_chain, with_rank, word)
 from .chainexpr import format_chain, format_word, parse_chain, parse_word
 from .sclenc import build_lp, decode_certificate, scl, solve_chain
-from .rotation import (PTRep, defect_probe, punctured_torus_rep, rot,
-                       rot_chain, rot_element, turning_number,
-                       turning_number_chain)
+from .rotation import (PTRep, punctured_torus_rep, rot, rot_element,
+                       turning_number, turning_number_chain)
 from .surfcert import (ArcSystem, Matching, SurfaceCertificate, arc_system,
                        boundary_chain, certificate_from_matching,
                        euler_characteristic, extremality_ratio, matching,

@@ -12,7 +12,7 @@ inverse classes).
 from dataclasses import dataclass
 
 from .errors import NotBoundaryError, RankMismatchError
-from .rational import QQ, denominator_lcm, qq
+from .rational import denominator_lcm, qq
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def is_cyclically_reduced(w):
     return len(L) < 2 or L[0] != -L[-1]
 
 
-def _cyclic_core(w):
+def cyclic_core(w):
     """The cyclically reduced core of w: w itself when it already is
     cyclically reduced, so no Word is built or validated."""
     L = w.letters
@@ -153,13 +153,6 @@ def _cyclic_core(w):
         i += 1
         j -= 1
     return w if i == 0 else Word(L[i:j], w.rank)
-
-
-def cyclic_reduce(w):
-    """Split w = conjugator * core * conjugator**-1 with core cyclically
-    reduced; returns (core, conjugator)."""
-    core = _cyclic_core(w)
-    return core, Word(w.letters[:(len(w) - len(core)) // 2], w.rank)
 
 
 def _cyclic_root(core):
@@ -171,22 +164,6 @@ def _cyclic_root(core):
         if n % d == 0 and L[:d] * (n // d) == L:
             return (core if d == n else Word(L[:d], core.rank)), n // d
     raise AssertionError("unreachable")  # pragma: no cover
-
-
-def primitive_root(w):
-    """Smallest u with w = u**k (k >= 1); returns (u, k).
-
-    For cyclically reduced input the root is the periodic block of the
-    letter string; in general the word is conjugated to its cyclic core
-    first.  The empty word returns (w, 1).
-    """
-    core, conj = cyclic_reduce(w)
-    if len(core) == 0:
-        return w, 1
-    root_core, k = _cyclic_root(core)
-    if len(conj) == 0:
-        return root_core, k
-    return concat(conj, root_core, invert(conj)), k
 
 
 def word_key(w):
@@ -320,28 +297,6 @@ def word_exponents(w):
     return tuple(out)
 
 
-def _weighted_sum(chain, exponents):
-    """Sum of the terms' exponent vectors weighted by their coefficients."""
-    out = [qq(0)] * chain.rank
-    for t, vector in zip(chain.terms, exponents):
-        for g, e in enumerate(vector):
-            out[g] += t.coefficient * e
-    return tuple(out)
-
-
-def abelianize(chain):
-    """Coefficient-weighted exponent-sum vector (length = rank)."""
-    return _weighted_sum(chain, (word_exponents(t.word) for t in chain.terms))
-
-
-def is_homologically_trivial(chain):
-    return all(v == 0 for v in abelianize(chain))
-
-
-def term_sort_key(term):
-    return (len(term.word), word_key(term.word))
-
-
 def canonicalize(chain):
     """Normal form of a chain as a sum of conjugacy classes.
 
@@ -354,14 +309,14 @@ def canonicalize(chain):
     """
     buckets = {}
     for t in chain.terms:
-        core = _cyclic_core(t.word)
+        core = cyclic_core(t.word)
         if len(core) == 0:
             continue
         root, k = _cyclic_root(core)
         rep, sign = class_rep(root)
         buckets[rep] = buckets.get(rep, qq(0)) + t.coefficient * k * sign
     terms = [ChainTerm(c, w) for w, c in buckets.items() if c != 0]
-    terms.sort(key=term_sort_key)
+    terms.sort(key=lambda t: (len(t.word), word_key(t.word)))
     return Chain(tuple(terms), chain.rank)
 
 
@@ -374,7 +329,10 @@ def require_boundary(chain):
     """Raise NotBoundaryError unless the chain is homologically trivial;
     returns the exponent vector of each term, in order."""
     exponents = tuple(word_exponents(t.word) for t in chain.terms)
-    total = _weighted_sum(chain, exponents)
+    total = [qq(0)] * chain.rank
+    for t, vector in zip(chain.terms, exponents):
+        for g, e in enumerate(vector):
+            total[g] += t.coefficient * e
     if any(v != 0 for v in total):
         raise NotBoundaryError(
             "chain is not homologically trivial: exponent vector (%s)"
@@ -397,7 +355,7 @@ def prepare(chain):
         c = t.coefficient * scale
         if c == 0:
             continue
-        w = _cyclic_core(t.word)
+        w = cyclic_core(t.word)
         if len(w) == 0:
             continue
         if c < 0:

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from . import rotation, sclenc
 from .errors import InvariantViolationError, NotBoundaryError, RankMismatchError
 from .freegroup import (Chain, ChainTerm, add_chains, canonicalize, concat,
-                        invert, make_word, require_boundary,
-                        scale_chain, single_chain, with_rank, word,
-                        word_exponents, word_power)
+                        invert, make_word, scale_chain, single_chain,
+                        with_rank, word, word_exponents, word_power)
 from .rational import QQ, qq
 
 # boundary class of the once-punctured torus; all stabilization is by
@@ -105,7 +104,6 @@ def minimal_stabilization(chain, rmax, **limits):
     if rmax < 0:
         raise ValueError("rmax must be nonnegative, got %d" % rmax)
     base = canonicalize(_as_rank2(chain))
-    require_boundary(base)
     boundary = single_chain(BOUNDARY_CLASS)
     table = []
     minimal = None

@@ -23,13 +23,11 @@ Everything is exact: a point of the lifted circle is an integer vector
 """
 
 import functools
-import random
 from dataclasses import dataclass
 
 from .errors import (InvariantViolationError, NotBoundaryError,
                      RankMismatchError)
-from .freegroup import (_cyclic_core, concat, make_word, require_boundary,
-                        word, word_exponents)
+from .freegroup import cyclic_core, require_boundary, word, word_exponents
 from .rational import qq
 
 
@@ -102,18 +100,15 @@ def rot_element(rep, w):
     return (k + (k & 1)) // 2
 
 
-def rot_chain(rep, chain):
-    """Rotation number of a homologically trivial chain."""
+def rot(chain):
+    """Rotation number of a homologically trivial chain under the
+    punctured torus holonomy."""
+    rep = punctured_torus_rep()
     require_boundary(chain)
     total = qq(0)
     for term in chain.terms:
         total += term.coefficient * rot_element(rep, term.word)
     return total
-
-
-def rot(chain):
-    """Rotation number of a chain under the punctured torus holonomy."""
-    return rot_chain(punctured_torus_rep(), chain)
 
 
 _DIRECTIONS = {1: 0, 2: 1, -1: 2, -2: 3}
@@ -134,7 +129,7 @@ def _turning_number(w, exponents):
         if abs(letter) > 2:
             raise RankMismatchError(
                 "turning numbers are defined for rank 2 only")
-    core = _cyclic_core(w)
+    core = cyclic_core(w)
     if len(core) == 0:
         return 0
     if any(e != 0 for e in exponents[:2]):
@@ -165,31 +160,3 @@ def turning_number_chain(chain):
         total += term.coefficient * _turning_number(term.word, vector)
     return total
 
-
-def defect_probe(rep=None, samples=500, seed=20260814):
-    """Largest |rot(gh) - rot(g) - rot(h)| over random word pairs.
-
-    The rotation quasimorphism has defect one, so any value above one is
-    an implementation fault and raises InvariantViolationError.
-    """
-    if rep is None:
-        rep = punctured_torus_rep()
-    rng = random.Random(seed)
-    worst = 0
-    for _ in range(samples):
-        words = []
-        for _ in range(2):
-            letters = []
-            for _ in range(rng.randint(1, 6)):
-                letters.append(rng.choice((1, 2, -1, -2)))
-            words.append(make_word(tuple(letters), 2))
-        g, h = words
-        product = concat(g, h)
-        d = abs(rot_element(rep, product) - rot_element(rep, g)
-                - rot_element(rep, h))
-        if d > worst:
-            worst = d
-        if worst > 1:
-            raise InvariantViolationError(
-                "defect %d exceeds 1 on %r, %r" % (worst, str(g), str(h)))
-    return worst

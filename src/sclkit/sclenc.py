@@ -61,10 +61,9 @@ class Encoding:
 
     chain: Chain  # prepared: cyclic words, positive integer coefficients
     scale: object  # rational multiplier that made the input integral
-    slots: tuple
     rectangles: tuple
     pieces: tuple
-    dummy_types: tuple  # dummy sides appearing in pieces, in tuple order
+    dummy_types: tuple  # every ordered corner pair, in tuple order
     lp: LinearProgram
     row_meta: tuple  # ("cover", slot) / ("side", rect, which) / ("dummy", d)
 
@@ -123,8 +122,10 @@ def _walk(chain, rectangles):
     (rect, 2), then a row per pair of mutually reverse dummy sides, which
     the lesser enters with +1 and the other with -1 (a loop has no row).
     Dummy (1, c1, c2) occurs in a piece iff c1 is a real side's end or c2
-    a real side's start, so the dummy rows come from the real sides'
-    corners.  No piece enters a row twice: its real sides are distinct,
+    a real side's start.  In a boundary every slot p is in a rectangle,
+    so every corner starts a real side (the corner after p) and ends one
+    (the corner before p): the dummy types are all n * n ordered corner
+    pairs.  No piece enters a row twice: its real sides are distinct,
     and its two dummy sides are reverse only if a real side ends where it
     starts, which needs a word that is not cyclically reduced.
     """
@@ -147,26 +148,18 @@ def _walk(chain, rectangles):
     for side in sides:
         starts[side[1]].append(side)
         between[side[1]][side[2]].append(side)
-    begins, ends = ({side[k] for side in sides} for k in (1, 2))
     # dummy[i][j]: the dummy side from corner i to corner j, its row and
     # its sign there; a loop's entries go to a row that is dropped
+    types = tuple((1, c1, c2) for c1 in corners for c2 in corners)
     dummy = [[None] * n for _ in corners]
-    types, loops = [], []
+    loops = []
     for i in range(n):
-        for j in range(n):
-            if i in ends or j in begins:
-                d = (1, corners[i], corners[j])
-                types.append(d)
-                if not (j in ends or i in begins):
-                    raise InvariantViolationError(
-                        "dummy type %r lacks its reverse" % (d,))
-                if i < j:
-                    meta.append(("dummy", d))
-                    rows.append([])
-                    dummy[i][j] = (d, rows[-1], _ONE)
-                    dummy[j][i] = ((1, d[2], d[1]), rows[-1], _NEG)
-                elif i == j:
-                    dummy[i][j] = (d, loops, _ONE)
+        dummy[i][i] = (types[i * n + i], loops, _ONE)
+        for j in range(i + 1, n):
+            meta.append(("dummy", types[i * n + j]))
+            rows.append([])
+            dummy[i][j] = (types[i * n + j], rows[-1], _ONE)
+            dummy[j][i] = (types[j * n + i], rows[-1], _NEG)
     pieces = []
     objective = [_ONE] * nrect
     col = nrect
@@ -214,25 +207,20 @@ def _walk(chain, rectangles):
             drow2.append((col, sign2))
             add_cost(_COST[2])
             col += 1
-    return tuple(pieces), tuple(types), meta, rows, objective
+    return tuple(pieces), types, meta, rows, objective
 
 
-def enumerate_pieces(chain, rectangles=None):
+def enumerate_pieces(chain):
     """All corner-compatible bigons (two rectangle sides) and triangles
     (at least one rectangle side, dummy diagonals for the rest).
 
     A piece is the tuple of its sides, real (0, rect, which) or dummy
-    (1, start, end), rotated to start at its least side; the pieces come
-    bigons first, then triangles, each in tuple order, which is the
-    column order of build_lp: both read the one walk (see the module
-    docstring), so the order is defined in one place.  Like build_lp, it
-    raises InvariantViolationError if a dummy side lacks its reverse,
-    which needs a letter whose inverse is absent: never for a boundary.
+    (1, start, end) with any ordered pair of corners, rotated to start at
+    its least side; the pieces come bigons first, then triangles, each in
+    tuple order, which is the column order of build_lp: both read the one
+    walk (see the module docstring), so the order is defined in one place.
     """
-    _check_cyclic_words(chain)
-    if rectangles is None:
-        rectangles = enumerate_rectangles(chain)
-    return _walk(chain, rectangles)[0]
+    return _walk(chain, enumerate_rectangles(chain))[0]
 
 
 def build_lp(chain, max_letters=MAX_LETTERS):
@@ -257,16 +245,16 @@ def build_lp(chain, max_letters=MAX_LETTERS):
             "chain has %d letters, cap is %d" % (letters, max_letters))
     rectangles = enumerate_rectangles(prepared)
     pieces, dummy_types, meta, rows, objective = _walk(prepared, rectangles)
-    slots = _slots(prepared)
-    rhs = [qq(prepared.terms[term].coefficient) for term, _ in slots]
-    rhs += [ZERO] * (len(meta) - len(slots))
+    rhs = [qq(prepared.terms[term].coefficient)
+           for term, _ in _slots(prepared)]
+    rhs += [ZERO] * (len(meta) - len(rhs))
     try:
         lp = LinearProgram(len(objective), tuple(map(tuple, rows)),
                            tuple(rhs), tuple(objective))
     except ValueError as err:
         raise InvariantViolationError("malformed scl LP: %s" % err) from err
-    return Encoding(prepared, scale, tuple(slots), rectangles, pieces,
-                    dummy_types, lp, tuple(meta))
+    return Encoding(prepared, scale, rectangles, pieces, dummy_types, lp,
+                    tuple(meta))
 
 
 # The result cache of solve_chain, least recently used first.  Its key is

@@ -9,7 +9,7 @@ of its cycles, so -chi/(2n) is an upper bound for scl of the chain it
 covers n times; equality is an extremality certificate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .chainexpr import format_chain, parse_chain
 from .errors import InvariantViolationError, ResourceLimitError
@@ -273,25 +273,18 @@ def search_matching(chain, n=1, max_nodes=10 ** 7):
 
     The chain is prepared (integer positive coefficients) and each term
     contributes n * coefficient cycle copies.  Returns the certificate
-    of the chi-maximal pairing; -chi/(2n) is then an upper bound for
-    scl of the prepared chain.
+    of the chi-maximal pairing, of degree n, and the pairing; -chi/(2n)
+    is then an upper bound for scl of the prepared chain (0 for a chain
+    that prepares to zero: no arcs, the empty surface).
     """
     if n < 1:
         raise ValueError("degree must be positive, got %d" % n)
     prepared, _ = prepare(chain)
-    if prepared.is_empty():
-        # canonically zero chain: the empty surface bounds it, chi = 0
-        system = ArcSystem((), prepared.rank)
-        return (SurfaceCertificate(0, n, boundary_chain(system),
-                                   "arc-matching"),
-                Matching(system, ()))
-    cycles = []
-    for t in prepared.terms:
-        copies = int(t.coefficient) * n
-        cycles.extend([t.word] * copies)
-    system = ArcSystem(tuple(cycles), prepared.rank)
-    chi, m = search_matching_arcs(system, max_nodes=max_nodes)
-    cert = certificate_from_matching(m)
+    system = ArcSystem(tuple(t.word for t in prepared.terms
+                             for _ in range(int(t.coefficient) * n)),
+                       prepared.rank)
+    _, m = search_matching_arcs(system, max_nodes=max_nodes)
+    cert = replace(certificate_from_matching(m), degree=n)
     target = canonicalize(scale_chain(prepared, n))
     if cert.boundary.terms != target.terms:
         raise InvariantViolationError(
@@ -318,12 +311,16 @@ def write_certificate(m, chain=None, degree=None):
 
 
 def read_certificate(text):
-    """Parse the textual format; returns (Matching, chain, degree)."""
+    """Parse the textual format; returns (Matching, chain, degree).
+
+    A repeated cycle id, or a second rank, chain or degree line, is a
+    ValueError naming its line."""
     rank = None
     cycles = {}
     pairs = []
     chain = None
     degree = None
+    seen = set()  # the directives met so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -332,13 +329,19 @@ def read_certificate(text):
         key = parts[0]
         rest = parts[1] if len(parts) > 1 else ""
         try:
+            if key in ("rank", "chain", "degree") and key in seen:
+                raise ValueError("repeated %s line" % key)
+            seen.add(key)
             if key == "rank":
                 rank = int(rest)
             elif key == "cycle":
                 if rank is None:
                     raise ValueError("rank must come before cycles")
                 ident, letters = rest.split(":", 1)
-                cycles[int(ident)] = word("".join(letters.split()), rank)
+                ident = int(ident)
+                if ident in cycles:
+                    raise ValueError("repeated cycle %d" % ident)
+                cycles[ident] = word("".join(letters.split()), rank)
             elif key == "pair":
                 ends = rest.split()
                 if len(ends) != 2:

@@ -4,15 +4,15 @@ sclkit.freegroup.class_rep and canonicalize.
 This is the straightforward normal form that the linear-time scan
 replaced.  class_rep builds the full tuple key, (generator, inverse?) per
 letter, of every rotation of the word and of its inverse and keeps the
-least, so it is quadratic in the word length; canonicalize reduces each
-term, reduces the core again to take its primitive root, and sorts the
+least, so it is quadratic in the word length; canonicalize cyclically
+reduces each term, takes the primitive root of the core, and sorts the
 terms by these tuple keys.  The package must return equal (==) results:
 the same (rep, sign) for every cyclically reduced word and the same
 canonical chain, terms in the same order.
 """
 
-from sclkit.freegroup import (Chain, ChainTerm, Word, concat, cyclic_reduce,
-                              invert, is_cyclically_reduced)
+from sclkit.freegroup import (Chain, ChainTerm, Word, cyclic_core, invert,
+                              is_cyclically_reduced)
 from sclkit.rational import qq
 
 
@@ -24,18 +24,14 @@ def word_key(w):
     return tuple(letter_key(x) for x in w.letters)
 
 
-def primitive_root(w):
-    core, conj = cyclic_reduce(w)
+def primitive_root(core):
+    """(u, k) with core = u**k and u primitive, for a nonempty cyclically
+    reduced core."""
     n = len(core)
-    if n == 0:
-        return w, 1
     L = core.letters
     for d in range(1, n + 1):
         if n % d == 0 and L[:d] * (n // d) == L:
-            root_core = Word(L[:d], w.rank)
-            if len(conj) == 0:
-                return root_core, n // d
-            return concat(conj, root_core, invert(conj)), n // d
+            return Word(L[:d], core.rank), n // d
 
 
 def class_rep(w):
@@ -59,7 +55,7 @@ def class_rep(w):
 def canonicalize(chain):
     buckets = {}
     for t in chain.terms:
-        core, _ = cyclic_reduce(t.word)
+        core = cyclic_core(t.word)
         if len(core) == 0:
             continue
         root, k = primitive_root(core)

@@ -1,11 +1,14 @@
-"""Shared pinned values and seeded random chain generators."""
+"""Shared pinned values, seeded random chain generators and the rotation
+defect probe."""
 
 import random
 
 from sclkit.chainexpr import parse_chain
+from sclkit.errors import InvariantViolationError
 from sclkit.freegroup import (add_chains, canonicalize, chain_of, concat,
                               invert, make_word, single_chain)
 from sclkit.rational import qq
+from sclkit.rotation import punctured_torus_rep, rot_element
 
 # chains with exactly known scl, reused across the suite
 SCL_CORPUS = (
@@ -77,3 +80,32 @@ def random_multi_term_chain(rng, rank, min_letters, max_letters):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def defect_probe(rep=None, samples=500, seed=20260814):
+    """Largest |rot(gh) - rot(g) - rot(h)| over random word pairs.
+
+    The rotation quasimorphism has defect one, so any value above one is
+    an implementation fault and raises InvariantViolationError.
+    """
+    if rep is None:
+        rep = punctured_torus_rep()
+    rng = random.Random(seed)
+    worst = 0
+    for _ in range(samples):
+        words = []
+        for _ in range(2):
+            letters = []
+            for _ in range(rng.randint(1, 6)):
+                letters.append(rng.choice((1, 2, -1, -2)))
+            words.append(make_word(tuple(letters), 2))
+        g, h = words
+        product = concat(g, h)
+        d = abs(rot_element(rep, product) - rot_element(rep, g)
+                - rot_element(rep, h))
+        if d > worst:
+            worst = d
+        if worst > 1:
+            raise InvariantViolationError(
+                "defect %d exceeds 1 on %r, %r" % (worst, str(g), str(h)))
+    return worst

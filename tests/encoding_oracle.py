@@ -174,5 +174,5 @@ def build_lp(chain, max_letters=24):
         tuple(tuple(sorted(e.items())) for e in rows),
         tuple(rhs),
         tuple(objective))
-    return Encoding(prepared, scale, tuple(slots), rectangles, pieces,
-                    tuple(dummy_types), lp, tuple(meta))
+    return Encoding(prepared, scale, rectangles, pieces, tuple(dummy_types),
+                    lp, tuple(meta))

@@ -11,15 +11,15 @@ from sclkit.immersion import (bounds_immersed, corollary_check,
                               minimal_stabilization)
 from sclkit.ratlp import solve_min, verify
 from sclkit.rational import qq
-from sclkit.rotation import (defect_probe, punctured_torus_rep, rot,
-                             rot_element, turning_number)
+from sclkit.rotation import (punctured_torus_rep, rot, rot_element,
+                             turning_number)
 from sclkit.sclenc import decode_certificate, prepare, scl, solve_chain
 from sclkit.surfcert import (arc_system, certificate_from_matching,
                              extremality_ratio, search_matching,
                              search_matching_arcs)
 
 from conftest import (COMMUTATOR_WORDS, RANK2_CORPUS, SCL_CORPUS, chain,
-                      random_trivial_chain, seeded)
+                      defect_probe, random_trivial_chain, seeded)
 
 
 def fresh_scl(c):

@@ -10,7 +10,7 @@ from conftest import SCL_CORPUS, chain, random_word, seeded
 from sclkit.chainexpr import parse_chain
 from sclkit.freegroup import (Chain, ChainTerm, Word, _least_rotation,
                               canonicalize, chain_of, class_rep, concat,
-                              cyclic_reduce, invert, is_cyclically_reduced,
+                              cyclic_core, invert, is_cyclically_reduced,
                               letter_key, make_word, word, word_key,
                               word_power)
 from sclkit.rational import qq
@@ -106,7 +106,7 @@ def test_class_rep_matches_oracle_shared_first_letter():
         u = random_word(rng, rank, rng.randint(1, 40))
         x = rng.choice([g for g in range(-rank, rank + 1) if abs(g) >= 2])
         w = concat(u, Word((x,), rank), invert(u), Word((x,), rank))
-        w, _ = cyclic_reduce(w)
+        w = cyclic_core(w)
         if len(w) == 0:
             continue
         rep, sign = oracle.class_rep(w)

@@ -125,6 +125,23 @@ def test_certify_explicit_chain(capsys, tmp_path):
     assert out.splitlines()[-1] == "ratio = 1/2, scl = 1/2, extremal = true"
 
 
+def test_certify_rejects_repeated_cycle(capsys, tmp_path):
+    # a second "cycle 0:" line would otherwise replace the first and
+    # certify a one-cycle surface
+    path = tmp_path / "twice.cert"
+    run(capsys, "matchbound", "abAB + abAB", "--emit", str(path))
+    text = path.read_text()
+    assert "cycle 1: a b A B\n" in text
+    path.write_text(text.replace("cycle 1:", "cycle 0:"))
+    code, out, err = run(capsys, "certify", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 3: repeated cycle 0\n"
+    path.write_text(text + "degree 2\n")
+    code, out, err = run(capsys, "certify", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.endswith(": repeated degree line\n")
+
+
 def test_matchbound_zero_chain(capsys):
     code, out, _ = run(capsys, "matchbound", "a + A")
     assert code == 0

@@ -114,18 +114,53 @@ def test_caps_declared_once():
     assert found == []
 
 
-def test_traced_functions_exist():
-    # perfbench/spans.py wraps these by name; read its TRACED table (the
-    # file is parsed, not imported) so a renamed or folded function fails
-    # here rather than inside a traced benchmark run
+def traced_functions():
+    """The (module, function) pairs of perfbench/spans.py's TRACED table;
+    the file is parsed, not imported."""
     root = pathlib.Path(__file__).resolve().parent.parent
     path = root / "perfbench" / "spans.py"
     tree = ast.parse(path.read_text(), str(path))
-    traced = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and [t.id for t in node.targets] == ["TRACED"])
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["TRACED"])
+
+
+def test_traced_functions_exist():
+    # perfbench/spans.py wraps these by name, so a renamed or folded
+    # function fails here rather than inside a traced benchmark run
+    traced = traced_functions()
     missing = ["sclkit.%s.%s" % pair for pair in traced
                if not callable(getattr(importlib.import_module(
                    "sclkit." + pair[0]), pair[1], None))]
     assert traced
     assert missing == [], "perfbench traces missing functions %s" % missing
+
+
+def test_no_dead_public_functions():
+    # a public module-level function is used in the package, exported by
+    # sclkit/__init__.py, or traced by perfbench; the one exception is
+    # ratlp.linear_program, the constructor for LPs built from outside input
+    modules = parsed_modules()
+    exported = {(node.module, alias.name)
+                for node in modules["__init__"].body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    kept = exported | set(traced_functions()) | {("ratlp", "linear_program")}
+    # the names each top-level statement reads, keyed by (module, function)
+    # for a function definition, so a function's own body does not count
+    reads = {}
+    for name, tree in modules.items():
+        for stmt in tree.body:
+            owner = (name, stmt.name) if isinstance(
+                stmt, ast.FunctionDef) else (name, None)
+            reads.setdefault(owner, set()).update(
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute)))
+    public = [(name, stmt.name) for name, tree in modules.items()
+              for stmt in tree.body if isinstance(stmt, ast.FunctionDef)
+              and not stmt.name.startswith("_")]
+    dead = ["%s.%s" % fn for fn in public if fn not in kept
+            and not any(fn[1] in names for owner, names in reads.items()
+                        if owner != fn)]
+    assert dead == [], "public functions without a use: %s" % dead

@@ -7,14 +7,14 @@ import pytest
 from sclkit.chainexpr import parse_chain, parse_word
 from sclkit.errors import (InvariantViolationError, NotBoundaryError,
                            RankMismatchError)
-from sclkit.freegroup import (chain_of, concat, cyclic_reduce, invert,
+from sclkit.freegroup import (chain_of, concat, cyclic_core, invert,
                               make_word, word, word_exponents, word_power)
 from sclkit.rational import qq
-from sclkit.rotation import (defect_probe, punctured_torus_rep, rot,
-                             rot_element, turning_number,
-                             turning_number_chain)
+from sclkit.rotation import (punctured_torus_rep, rot, rot_element,
+                             turning_number, turning_number_chain)
 
-from conftest import COMMUTATOR_WORDS, chain, random_word, seeded
+from conftest import (COMMUTATOR_WORDS, chain, defect_probe, random_word,
+                      seeded)
 
 
 def rep():
@@ -198,7 +198,7 @@ def test_turning_matches_dynamical_on_random_balanced_words():
     found = 0
     while found < 60:
         w = random_word(rng, 2, 12)
-        core, _ = cyclic_reduce(w)
+        core = cyclic_core(w)
         if len(core) == 0 or any(word_exponents(core)):
             continue
         found += 1
@@ -232,8 +232,7 @@ def balanced_word(rng, letters):
     k = rng.randint(0, letters // 2)
     pool = [1, -1] * k + [2, -2] * (letters // 2 - k)
     rng.shuffle(pool)
-    core, _ = cyclic_reduce(make_word(tuple(pool), 2))
-    return core
+    return cyclic_core(make_word(tuple(pool), 2))
 
 
 def test_dynamical_matches_turning_on_long_commutators():

@@ -129,9 +129,9 @@ def test_build_lp_matches_oracle():
 
 
 def test_dummy_types_come_from_side_corners():
-    # build_lp derives the dummy types from the real sides' corners; they
-    # must be exactly the dummy sides that occur in pieces, each with its
-    # reverse, and the dummy rows one per reverse pair
+    # build_lp takes every ordered corner pair as a dummy type; in a
+    # boundary they must be exactly the dummy sides that occur in pieces,
+    # each with its reverse, and the dummy rows one per reverse pair
     rng = seeded(2718)
     cases = [chain(expr) for expr, _ in SCL_CORPUS]
     cases += [random_multi_term_chain(rng, rank, 4, 16)
@@ -141,6 +141,8 @@ def test_dummy_types_come_from_side_corners():
         if c.is_empty():
             continue
         enc = build_lp(c)
+        n = sum(len(t.word) for t in enc.chain.terms)
+        assert len(enc.dummy_types) == n * n, c
         used = {s for p in enc.pieces for s in p if s[0]}
         assert enc.dummy_types == tuple(sorted(used)), c
         assert all((1, d[2], d[1]) in used for d in used), c

@@ -1,13 +1,16 @@
 """Band surfaces from arc pairings: chi accounting and certificates."""
 
 import itertools
+import json
 
 import pytest
 
 from sclkit.chainexpr import parse_chain
+from sclkit.cli import main
 from sclkit.errors import InvariantViolationError, ResourceLimitError
-from sclkit.freegroup import canonicalize, chains_equal, scale_chain, word
-from sclkit.rational import qq
+from sclkit.freegroup import (canonicalize, chains_equal, prepare,
+                              scale_chain, word)
+from sclkit.rational import fmt, qq
 from sclkit.sclenc import scl
 from sclkit.surfcert import (ArcSystem, Matching, SurfaceCertificate,
                              arc_system, boundary_chain,
@@ -176,11 +179,24 @@ def test_search_matching_zero_chain():
     assert m.pairs == ()
 
 
-def test_search_matching_degree():
+def test_search_matching_degree(capsys):
     c = parse_chain("abAB").chain
     cert, m = search_matching(c, n=2)
-    assert cert.degree == 2 or len(m.system.cycles) == 2
+    assert cert.degree == 2
+    assert len(m.system.cycles) == 2
     assert chains_equal(cert.boundary, scale_chain(c, 2))
+    # -chi / (2 * degree * scale) read off the certificate is the bound
+    # that matchbound prints for the same chain and degree
+    for expr, n in itertools.product(
+            ("[a,b]", "1/2*abAB", "ab - a - b", "a + A"), (2, 3)):
+        c = parse_chain(expr).chain
+        _, scale = prepare(c)
+        cert, _ = search_matching(c, n=n)
+        assert cert.degree == n
+        assert main(["matchbound", expr, "--degree", str(n), "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)["record"]
+        bound = qq(-cert.chi, 2 * cert.degree * scale)
+        assert record["bound"] == fmt(bound), expr
 
 
 def test_search_matching_rejects_nonpositive_degree():
@@ -240,6 +256,19 @@ def test_read_certificate_errors():
         read_certificate("rank 2\ncycle 1: a\n")
     with pytest.raises(ValueError):
         read_certificate("rank 2\ncycle 0: abAB\npair 0.0 0.1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("rank 2\ncycle 0: abAB\ncycle 0: a\n", "line 3: repeated cycle 0"),
+    ("rank 2\nrank 2\ncycle 0: abAB\n", "line 2: repeated rank line"),
+    ("rank 2\ncycle 0: abAB\nchain abAB\nchain abAB\n",
+     "line 4: repeated chain line"),
+    ("rank 2\ncycle 0: abAB\ndegree 1\n# again\ndegree 2\n",
+     "line 5: repeated degree line"),
+])
+def test_read_certificate_rejects_repeated_directives(text, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        read_certificate(text + "pair 0.0 0.2\npair 0.1 0.3\n")
 
 
 def test_read_certificate_comments_and_blanks():
