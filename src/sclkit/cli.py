@@ -202,7 +202,13 @@ def _cmd_certify(args):
 
 def _cmd_matchbound(args):
     ce = parse_chain(args.chain)
-    _, scale = prepare(ce.chain)
+    prepared, scale = prepare(ce.chain)
+    # the search pairs degree copies of every letter of the prepared chain
+    arcs = args.degree * sum(int(t.coefficient) * len(t.word)
+                             for t in prepared.terms)
+    if arcs > args.max_letters:
+        raise ResourceLimitError(
+            "matching search has %d arcs, cap is %d" % (arcs, args.max_letters))
     cert, m = surfcert.search_matching(ce.chain, n=args.degree)
     bound = qq(-cert.chi, 2 * args.degree * scale)
     record = {"input": args.chain, "chain": format_chain(ce.chain),
@@ -211,8 +217,7 @@ def _cmd_matchbound(args):
                                                      args.degree)]
     if args.emit is not None:
         with open(args.emit, "w", encoding="ascii") as handle:
-            handle.write(surfcert.write_certificate(m, chain=ce.chain,
-                                                    degree=args.degree))
+            handle.write(surfcert.write_certificate(m, ce.chain, args.degree))
         record["emitted"] = args.emit
         lines.append("certificate written to %s" % args.emit)
     return record, lines

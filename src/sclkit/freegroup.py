@@ -160,10 +160,10 @@ def _cyclic_root(core):
     reduced core; the root is the periodic block of the letter string."""
     L = core.letters
     n = len(L)
-    for d in range(1, n + 1):
+    for d in range(1, n):
         if n % d == 0 and L[:d] * (n // d) == L:
-            return (core if d == n else Word(L[:d], core.rank)), n // d
-    raise AssertionError("unreachable")  # pragma: no cover
+            return Word(L[:d], core.rank), n // d
+    return core, 1
 
 
 def word_key(w):

@@ -355,13 +355,6 @@ class _Revised:
             _, self.u_den = _sub_rational(self.u, 0, u_den, -d, u_den,
                                           self.inv[leave], 0, self.den[leave])
 
-    def phase1_value(self):
-        total = ZERO
-        for i in range(self.m):
-            if self.basis[i] >= self.n:
-                total += QQ(self.rhs[i], self.den[i])
-        return total
-
     def drive_out_artificials(self):
         """Pivot each artificial basic at value zero out on the lowest
         original column of its tableau row; rows of nonzero value are left
@@ -415,7 +408,8 @@ def solve_min(lp, max_pivots=10 ** 6, active=None):
     # phase 1: each artificial still basic costs 1
     t.set_cost([0] * n, [1 if j >= n else 0 for j in t.basis])
     t.run()  # phase 1 cannot be unbounded
-    if t.phase1_value() != 0:
+    # every basic value is >= 0, so the artificials sum to 0 iff each is 0
+    if any(t.rhs[i] for i, j in enumerate(t.basis) if j >= n):
         return LPResult("infeasible", None, None, None, t.pivots)
     t.drive_out_artificials()
     c = lp.objective

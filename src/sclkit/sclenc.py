@@ -355,9 +355,6 @@ def _integer_counts(encoding, result):
            for d in encoding.dummy_types if d[1] == d[2]):
         n *= 2
         counts = [2 * c for c in counts]
-    if any(c * w.denominator != w.numerator * n
-           for w, c in zip(result.primal, counts)):
-        raise InvariantViolationError("vertex scaling failed")
     return n, counts[:nrect], counts[nrect:]
 
 
@@ -419,13 +416,12 @@ def _trace_boundary(encoding, rect_counts, piece_counts, partner):
                   for role in ("p", "q") for copy in range(c)]:
         if start in arc_at:
             continue
-        cur, letters, terms = start, [], set()
+        cur, letters = start, []
         while cur not in arc_at:
             ri, role, copy = cur
             slot = rects[ri][0 if role == "p" else 1]
             arc_at[cur] = (len(circles), len(letters))
             letters.append(_letter(encoding.chain, slot))
-            terms.add(slot[0])
             pi, c, j = instance[(ri, 1 if role == "p" else 2, copy)]
             j = (j - 1) % len(pieces[pi])
             while pieces[pi][j][0]:  # a dummy side: go on through its partner
@@ -433,10 +429,6 @@ def _trace_boundary(encoding, rect_counts, piece_counts, partner):
                 j = (j - 1) % len(pieces[pi])
             ri, which, copy = glued[(pi, c, j)]
             cur = (ri, "q" if which == 1 else "p", copy)
-        if len(terms) != 1:
-            raise InvariantViolationError("boundary circle mixes chain terms")
-        if len(letters) % len(encoding.chain.terms[terms.pop()].word) != 0:
-            raise InvariantViolationError("boundary circle length mismatch")
         circles.append(Word(tuple(letters), encoding.chain.rank))
     return circles, arc_at
 
@@ -474,6 +466,4 @@ def decode_certificate(encoding, result):
             % (bands.chi, chi_formula))
     if -qq(chi_formula) != qq(n) * result.value:
         raise InvariantViolationError("chi does not match the LP optimum")
-    return surfcert.SurfaceCertificate(
-        chi=chi_formula, degree=n, boundary=bands.boundary,
-        provenance="lp-decode")
+    return replace(bands, degree=n)

@@ -63,8 +63,6 @@ class Matching:
         arcs = set(self.system.arcs())
         seen = set()
         for a, b in self.pairs:
-            if a == b:
-                raise ValueError("an arc cannot pair with itself")
             for x in (a, b):
                 if x not in arcs:
                     raise ValueError("unknown arc %r" % (x,))
@@ -129,12 +127,11 @@ def euler_characteristic(m):
 @dataclass(frozen=True)
 class SurfaceCertificate:
     """A verified surface: chi, the chain its boundary covers, and the
-    covering degree, with a tag recording how it was produced."""
+    covering degree."""
 
     chi: int
     degree: int
     boundary: Chain  # canonical form of the full boundary
-    provenance: str
 
 
 def boundary_chain(system):
@@ -146,8 +143,7 @@ def boundary_chain(system):
 def certificate_from_matching(m):
     """Package a matching as a certificate."""
     return SurfaceCertificate(chi=euler_characteristic(m), degree=1,
-                              boundary=boundary_chain(m.system),
-                              provenance="arc-matching")
+                              boundary=boundary_chain(m.system))
 
 
 def extremality_ratio(certificate, chain):
@@ -182,8 +178,6 @@ def search_matching_arcs(system, max_nodes=10 ** 7):
     """
     arcs = system.arcs()
     n_arcs = len(arcs)
-    if n_arcs % 2 != 0:
-        raise ValueError("odd number of arcs cannot be matched")
     index = {a: k for k, a in enumerate(arcs)}
     letters = [system.letter(a) for a in arcs]
     pred_gap = [index[_pred(system, a)] for a in arcs]
@@ -262,9 +256,11 @@ def search_matching_arcs(system, max_nodes=10 ** 7):
             unlink()
             matched[a] = matched[b] = False
 
-    recurse(0)
-    if best["chi"] is None:
-        raise ValueError("no perfect pairing exists")
+    try:
+        recurse(0)
+    except RecursionError:
+        raise ResourceLimitError(
+            "matching search too deep for the stack") from None
     return best["chi"], matching(system, best["pairs"])
 
 
@@ -283,8 +279,11 @@ def search_matching(chain, n=1, max_nodes=10 ** 7):
     system = ArcSystem(tuple(t.word for t in prepared.terms
                              for _ in range(int(t.coefficient) * n)),
                        prepared.rank)
-    _, m = search_matching_arcs(system, max_nodes=max_nodes)
+    chi, m = search_matching_arcs(system, max_nodes=max_nodes)
     cert = replace(certificate_from_matching(m), degree=n)
+    if cert.chi != chi:
+        raise InvariantViolationError("search chi %d disagrees with "
+                                      "corner-orbit chi %d" % (chi, cert.chi))
     target = canonicalize(scale_chain(prepared, n))
     if cert.boundary.terms != target.terms:
         raise InvariantViolationError(
@@ -295,18 +294,15 @@ def search_matching(chain, n=1, max_nodes=10 ** 7):
 # ---------------------------------------------------------------------------
 # certificate files
 
-def write_certificate(m, chain=None, degree=None):
-    """Serialize a matching (and optional chain context) as text."""
+def write_certificate(m, chain, degree):
+    """Serialize a matching, the chain it covers and its degree as text."""
     lines = ["rank %d" % m.system.rank]
     for i, w in enumerate(m.system.cycles):
         lines.append("cycle %d: %s"
                      % (i, " ".join(letter_to_char(x) for x in w.letters)))
     for a, b in m.pairs:
         lines.append("pair %d.%d %d.%d" % (a[0], a[1], b[0], b[1]))
-    if chain is not None:
-        lines.append("chain %s" % format_chain(chain))
-    if degree is not None:
-        lines.append("degree %d" % degree)
+    lines += ["chain %s" % format_chain(chain), "degree %d" % degree]
     return "\n".join(lines) + "\n"
 
 
@@ -314,7 +310,8 @@ def read_certificate(text):
     """Parse the textual format; returns (Matching, chain, degree).
 
     A repeated cycle id, or a second rank, chain or degree line, is a
-    ValueError naming its line."""
+    ValueError naming its line, as is a degree below 1; so is a boundary
+    that is not degree times the prepared chain of the file."""
     rank = None
     cycles = {}
     pairs = []
@@ -355,6 +352,8 @@ def read_certificate(text):
                 chain = parse_chain(rest, min_rank=rank or 1).chain
             elif key == "degree":
                 degree = int(rest)
+                if degree < 1:
+                    raise ValueError("degree must be positive, got %d" % degree)
             else:
                 raise ValueError("unknown directive %r" % key)
         except ValueError as exc:
@@ -364,4 +363,10 @@ def read_certificate(text):
     if sorted(cycles) != list(range(len(cycles))):
         raise ValueError("cycle ids must be 0..k-1")
     system = ArcSystem(tuple(cycles[i] for i in range(len(cycles))), rank)
+    if chain is not None and degree is not None:
+        prepared, _ = prepare(chain)
+        want = canonicalize(scale_chain(prepared, degree))
+        if boundary_chain(system).terms != want.terms:
+            raise ValueError("boundary is not %d times the prepared chain"
+                             % degree)
     return matching(system, pairs), chain, degree

@@ -11,6 +11,7 @@ import pytest
 import sclkit.immersion
 import sclkit.rotation
 import sclkit.sclenc
+import sclkit.surfcert
 from sclkit.cli import main
 from sclkit.rational import qq
 
@@ -140,6 +141,68 @@ def test_certify_rejects_repeated_cycle(capsys, tmp_path):
     code, out, err = run(capsys, "certify", "--file", str(path))
     assert code == 2 and out == ""
     assert err.endswith(": repeated degree line\n")
+
+
+TORUS_CERT = ("rank 2\ncycle 0: a b A B\npair 0.0 0.2\npair 0.1 0.3\n"
+              "chain abAB\n")
+
+
+def test_certify_rejects_contradictory_degree(capsys, tmp_path):
+    # the torus bounds abAB once, not seven times
+    path = tmp_path / "torus.cert"
+    path.write_text(TORUS_CERT + "degree 7\n")
+    code, out, err = run(capsys, "certify", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: boundary is not 7 times the prepared chain\n"
+    path.write_text(TORUS_CERT + "degree 0\n")
+    code, out, err = run(capsys, "certify", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 6: degree must be positive, got 0\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    ((), "has 2400 arcs, cap is 24"),
+    # one recursion level per band: 1200 outrun the interpreter's stack
+    (("--max-letters", "100000"), "too deep for the stack")])
+def test_exit_code_matchbound_too_many_arcs(capsys, extra, message):
+    code, out, err = run(capsys, "matchbound", "abAB", "--degree", "600",
+                         *extra)
+    assert (code, out) == (4, "")
+    assert err == "error: matching search %s\n" % message
+
+
+def test_matchbound_letter_cap_admits_equality(capsys):
+    # 6 copies of abAB: 24 arcs, the default cap
+    assert run(capsys, "matchbound", "abAB", "--degree", "6")[0] == 0
+    code, _, err = run(capsys, "matchbound", "abAB", "--degree", "6",
+                       "--max-letters", "23")
+    assert code == 4
+    assert err == "error: matching search has 24 arcs, cap is 23\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("scl", "abAB"), ("immersed", "abAB"), ("stabilize", "abAB", "--max-R", "0"),
+    ("scan", "--w", "abAB", "--n-range", "0"),
+    ("corollary", "--w", "abAB", "--n", "1"),
+    ("certify", "--file", "{cert}", "--chain", "abAB"), ("matchbound", "abAB")])
+def test_exit_code_max_letters_on_every_capped_command(capsys, monkeypatch,
+                                                        tmp_path, argv):
+    monkeypatch.setattr(sclkit.sclenc, "_scl_cache", OrderedDict())  # fresh
+    path = tmp_path / "torus.cert"
+    path.write_text(TORUS_CERT)
+    argv = [a.replace("{cert}", str(path)) for a in argv]
+    code, out, err = run(capsys, *argv, "--max-letters", "3")
+    assert (code, out) == (4, "")
+    assert "cap is 3" in err
+
+
+def test_exit_code_matchbound_chi_disagreement(capsys, monkeypatch):
+    # the branch-and-bound chi is checked against the corner-orbit recount
+    monkeypatch.setattr(sclkit.surfcert, "euler_characteristic",
+                        lambda m: 7)
+    code, out, err = run(capsys, "matchbound", "abAB")
+    assert (code, out) == (5, "")
+    assert err == "error: search chi -1 disagrees with corner-orbit chi 7\n"
 
 
 def test_matchbound_zero_chain(capsys):

@@ -164,3 +164,12 @@ def test_no_dead_public_functions():
             and not any(fn[1] in names for owner, names in reads.items()
                         if owner != fn)]
     assert dead == [], "public functions without a use: %s" % dead
+
+
+def test_no_unreachable_markers():
+    # a check that no input can reach is deleted, not marked
+    found = ["%s:%d" % (path.name, lineno)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for lineno, line in enumerate(path.read_text().splitlines(), 1)
+             if "raise AssertionError" in line or "pragma: no cover" in line]
+    assert found == []

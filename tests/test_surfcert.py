@@ -123,7 +123,6 @@ def test_certificate_from_matching():
     cert = certificate_from_matching(punctured_torus_matching())
     assert cert.chi == -1
     assert cert.degree == 1
-    assert cert.provenance == "arc-matching"
     assert chains_equal(cert.boundary, parse_chain("abAB").chain)
 
 
@@ -243,6 +242,20 @@ def test_certificate_file_roundtrip(tmp_path):
     assert degree2 == 1
     # serialization is bit-stable
     assert write_certificate(again, chain=chain2, degree=degree2) == text
+
+
+def test_read_certificate_degree_must_agree():
+    head = "rank 2\ncycle 0: a b A B\npair 0.0 0.2\npair 0.1 0.3\n"
+    for degree in ("0", "-2"):
+        with pytest.raises(ValueError, match="line 5: degree must be positive"):
+            read_certificate(head + "degree %s\n" % degree)
+    with pytest.raises(ValueError, match="not 7 times the prepared chain"):
+        read_certificate(head + "chain abAB\ndegree 7\n")
+    # degree times the prepared chain: 1/2*abAB prepares to abAB
+    m, _, degree = read_certificate(head + "chain 1/2*abAB\ndegree 1\n")
+    assert degree == 1 and m.pairs == punctured_torus_matching().pairs
+    # with no chain line there is nothing to compare the degree with
+    assert read_certificate(head + "degree 7\n")[2] == 7
 
 
 def test_read_certificate_errors():
