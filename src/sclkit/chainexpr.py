@@ -13,7 +13,7 @@ in canonical form; the ambient rank is the largest generator mentioned.
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ChainSyntaxError
 from .freegroup import (Chain, ChainTerm, Word, canonicalize, letter_from_char,
@@ -125,10 +125,10 @@ class _Parser:
             letters = base * int(exp[1])
 
 
-@dataclass(frozen=True)
-class ChainExpression:
-    source: str
-    chain: Chain  # canonical
+class ChainExpression(namedtuple("ChainExpression", "source chain")):
+    """A parsed expression: its source text and its canonical Chain."""
+
+    __slots__ = ()
 
 
 def parse_chain(text, min_rank=1):

@@ -4,8 +4,9 @@ Every exact value is printed as "p/q" with positive denominator; --json
 wraps the same payload in a {"record": ..., "timing": ...} document whose
 "record" section is byte-stable across identical invocations.
 
-Exit codes: 0 success, 2 parse or usage error, 3 chain not homologically
-trivial, 4 resource limit, 5 internal invariant violation.
+Exit codes: 0 success, 2 parse or usage error (or a closed stdout), 3
+chain not homologically trivial, 4 resource limit, 5 internal invariant
+violation.
 """
 
 import argparse
@@ -295,27 +296,30 @@ def _parser():
 def main(argv=None):
     """Run one subcommand and return its exit code.  The handlers return
     (record, lines); the command name and caps are added to every record
-    here."""
+    here.  The output is written and flushed inside the guard, so a
+    closed stdout is an OSError like any other, exit 2, and not a
+    traceback at exit."""
     args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         record, lines = args.handler(args)
+        record.update(command=args.subcommand, limits=_limits(args))
+        elapsed = time.perf_counter() - start
+        if args.json:
+            doc = {"record": record,
+                   "timing": {"seconds": round(elapsed, 6),
+                              "soft_budget_exceeded":
+                                  elapsed > SOFT_BUDGET_SECONDS}}
+            print(json.dumps(doc, sort_keys=True, indent=2))
+        else:
+            for line in lines:
+                print(line)
+            if elapsed > SOFT_BUDGET_SECONDS:
+                print("note: command exceeded the %ds soft budget"
+                      % int(SOFT_BUDGET_SECONDS), file=sys.stderr)
+        sys.stdout.flush()
     except (SclError, ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return next((code for kind, code in _EXIT_CODES
                      if isinstance(err, kind)), 2)
-    record.update(command=args.subcommand, limits=_limits(args))
-    elapsed = time.perf_counter() - start
-    if args.json:
-        doc = {"record": record,
-               "timing": {"seconds": round(elapsed, 6),
-                          "soft_budget_exceeded":
-                              elapsed > SOFT_BUDGET_SECONDS}}
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        for line in lines:
-            print(line)
-        if elapsed > SOFT_BUDGET_SECONDS:
-            print("note: command exceeded the %ds soft budget"
-                  % int(SOFT_BUDGET_SECONDS), file=sys.stderr)
     return 0

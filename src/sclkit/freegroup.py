@@ -9,7 +9,7 @@ cyclically reduced class representatives, merged and cancelled against
 inverse classes).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NotBoundaryError, RankMismatchError
 from .rational import denominator_lcm, qq
@@ -61,22 +61,25 @@ def reduce_letters(letters):
 # ---------------------------------------------------------------------------
 # words
 
-@dataclass(frozen=True)
-class Word:
-    """A freely reduced word; letters are nonzero ints with |letter| <= rank."""
+class Word(namedtuple("Word", "letters rank")):
+    """A freely reduced word; letters are nonzero ints with |letter| <= rank.
 
-    letters: tuple
-    rank: int
+    Its length is its letter count, not its field count, so the namedtuple
+    helpers _make and _replace do not apply to it.
+    """
 
-    def __post_init__(self):
-        if self.rank < 0:
+    __slots__ = ()
+
+    def __new__(cls, letters, rank):
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        for x in self.letters:
-            if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
-                raise ValueError("letter %r out of range for rank %d" % (x, self.rank))
-        for i in range(len(self.letters) - 1):
-            if self.letters[i] == -self.letters[i + 1]:
-                raise ValueError("word is not freely reduced: %r" % (self.letters,))
+        for x in letters:
+            if not isinstance(x, int) or x == 0 or abs(x) > rank:
+                raise ValueError("letter %r out of range for rank %d" % (x, rank))
+        for i in range(len(letters) - 1):
+            if letters[i] == -letters[i + 1]:
+                raise ValueError("word is not freely reduced: %r" % (letters,))
+        return super().__new__(cls, letters, rank)
 
     def __len__(self):
         return len(self.letters)
@@ -231,29 +234,29 @@ def class_rep(w):
 # ---------------------------------------------------------------------------
 # chains
 
-@dataclass(frozen=True)
-class ChainTerm:
-    coefficient: object  # exact rational
-    word: Word
+class ChainTerm(namedtuple("ChainTerm", "coefficient word")):
+    """An exact rational coefficient times a Word."""
+
+    __slots__ = ()
 
 
 def chain_term(coefficient, w):
     return ChainTerm(qq(coefficient), w)
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A formal rational sum of words, all of the same rank."""
+class Chain(namedtuple("Chain", "terms rank")):
+    """A formal rational sum of words, all of the same rank: terms is a
+    tuple of ChainTerm."""
 
-    terms: tuple
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for t in self.terms:
-            if t.word.rank != self.rank:
+    def __new__(cls, terms, rank):
+        for t in terms:
+            if t.word.rank != rank:
                 raise RankMismatchError(
                     "term %r has rank %d, chain has rank %d"
-                    % (t.word, t.word.rank, self.rank))
+                    % (t.word, t.word.rank, rank))
+        return super().__new__(cls, terms, rank)
 
     def is_empty(self):
         return not self.terms

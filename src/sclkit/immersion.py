@@ -10,48 +10,45 @@ family w (abAB)^n, and the rank-3 insertion check comparing
 scl((abAB)^n c w c^-1) with (|n + rot(w)| + 1)/2.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import rotation, sclenc
-from .errors import InvariantViolationError, NotBoundaryError, RankMismatchError
+from .errors import (InvariantViolationError, NotBoundaryError,
+                     RankMismatchError, ResourceLimitError)
 from .freegroup import (Chain, ChainTerm, add_chains, canonicalize, concat,
                         invert, make_word, scale_chain, single_chain,
                         with_rank, word, word_exponents, word_power)
-from .rational import QQ, qq
+from .rational import qq
 
 # boundary class of the once-punctured torus; all stabilization is by
 # integer multiples of this chain
 BOUNDARY_CLASS = word("abAB")
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(namedtuple("CriterionReport",
+                                 "chain scl rot bounds_immersed")):
     """Exact scl and rot of one chain plus the equality verdict."""
 
-    chain: Chain
-    scl: QQ
-    rot: QQ
-    bounds_immersed: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
-    """Criterion table for C + R * abAB over R = 0..rmax."""
+class StabilizationReport(namedtuple("StabilizationReport",
+                                     "base boundary table minimal_r")):
+    """Criterion table for C + R * abAB over R = 0..rmax: table[R] is the
+    CriterionReport at that R, and minimal_r the least R with equality,
+    or None if none is in range."""
 
-    base: Chain
-    boundary: Chain
-    table: tuple  # table[R] is the CriterionReport at that R
-    minimal_r: object  # least R with equality, or None if none in range
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    """Criterion table for the family w (abAB)^n over a range of n."""
+class ScanReport(namedtuple("ScanReport",
+                            "w entries first_equality persistent")):
+    """Criterion table for the family w (abAB)^n over a range of n:
+    entries holds pairs (n, CriterionReport), first_equality is the least
+    scanned n with equality, or None, and persistent says whether
+    equality held at every scanned n past the first."""
 
-    w: object
-    entries: tuple  # pairs (n, CriterionReport)
-    first_equality: object  # least scanned n with equality, or None
-    persistent: bool  # equality held at every scanned n past the first
+    __slots__ = ()
 
 
 def _as_rank2(chain):
@@ -150,8 +147,18 @@ def corollary_check(w, n, **limits):
 
     Returns (lhs, rhs, equal).  The identity is proved only for |n| large
     relative to w, so equality is informational, not an invariant.
+
+    For n != 0 the inserted word holds exactly one c, so it is reduced,
+    cyclically reduced and primitive, and its prepared length is
+    4|n| + |w| + 2.  The letter cap is checked on that count before the
+    word is built.
     """
     w = _commutator_word(w)
+    letters = 4 * abs(n) + len(w) + 2
+    max_letters = limits.get("max_letters", sclenc.MAX_LETTERS)
+    if n != 0 and letters > max_letters:
+        raise ResourceLimitError(
+            "chain has %d letters, cap is %d" % (letters, max_letters))
     c = make_word((3,), 3)
     inserted = concat(with_rank(word_power(BOUNDARY_CLASS, n), 3),
                       c, with_rank(w, 3), invert(c))

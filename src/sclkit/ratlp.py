@@ -66,7 +66,7 @@ program and the claimed result.
 
 import bisect
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ResourceLimitError
 from .rational import QQ, ZERO, denominator_lcm, qq
@@ -75,8 +75,7 @@ from .rational import QQ, ZERO, denominator_lcm, qq
 _STALL_LIMIT = 60
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(namedtuple("LinearProgram", "num_vars rows rhs objective")):
     """min objective . x  subject to  rows . x = rhs,  x >= 0.
 
     rows is a tuple of sparse rows, each a tuple of (column, value) pairs
@@ -84,39 +83,37 @@ class LinearProgram:
     dense tuple of length num_vars.
     """
 
-    num_vars: int
-    rows: tuple
-    rhs: tuple
-    objective: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.rhs) != len(self.rows):
+    def __new__(cls, num_vars, rows, rhs, objective):
+        if len(rhs) != len(rows):
             raise ValueError("rhs length does not match row count")
-        if len(self.objective) != self.num_vars:
+        if len(objective) != num_vars:
             raise ValueError("objective length does not match variable count")
-        for row in self.rows:
+        for row in rows:
             last = -1
             for col, value in row:
-                if not 0 <= col < self.num_vars:
+                if not 0 <= col < num_vars:
                     raise ValueError("column %d out of range" % col)
                 if col <= last:
                     raise ValueError("row columns must be strictly increasing")
                 if not value:
                     raise ValueError("sparse entries must be nonzero")
                 last = col
+        return super().__new__(cls, num_vars, rows, rhs, objective)
 
     @property
     def num_rows(self):
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class LPResult:
-    status: str  # "optimal", "infeasible", or "unbounded"
-    value: object  # exact rational when optimal, else None
-    primal: tuple  # vertex when optimal, else None
-    dual: tuple  # dual vector when optimal (one entry per row), else None
-    pivots: int
+class LPResult(namedtuple("LPResult", "status value primal dual pivots")):
+    """The outcome of a solve.  status is "optimal", "infeasible" or
+    "unbounded"; when optimal, value is the exact optimum, primal the
+    vertex and dual the dual vector (one entry per row), else all three
+    are None; pivots counts the simplex pivots."""
+
+    __slots__ = ()
 
 
 def linear_program(num_vars, rows, rhs, objective):

@@ -23,7 +23,7 @@ Everything is exact: a point of the lifted circle is an integer vector
 """
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (InvariantViolationError, NotBoundaryError,
                      RankMismatchError)
@@ -31,13 +31,11 @@ from .freegroup import cyclic_core, require_boundary, word, word_exponents
 from .rational import qq
 
 
-@dataclass(frozen=True)
-class PTRep:
-    """Integer holonomy of the punctured torus: each letter maps to the
-    entries (a, b, c, d) of its SL(2, Z) matrix [[a, b], [c, d]]."""
+class PTRep(namedtuple("PTRep", "rank matrices")):
+    """Integer holonomy of the punctured torus: matrices maps each letter
+    to the entries (a, b, c, d) of its SL(2, Z) matrix [[a, b], [c, d]]."""
 
-    rank: int
-    matrices: dict  # letter -> (a, b, c, d)
+    __slots__ = ()
 
 
 @functools.cache

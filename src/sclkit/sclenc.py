@@ -23,12 +23,11 @@ the piece tuples, with each piece made once, from its least side.
 """
 
 import math
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from collections import OrderedDict, namedtuple
 
 from . import surfcert
 from .errors import InvariantViolationError, ResourceLimitError
-from .freegroup import (Chain, Word, canonicalize, is_cyclically_reduced,
+from .freegroup import (Word, canonicalize, is_cyclically_reduced,
                         prepare, scale_chain)
 from .rational import ZERO, denominator_lcm, qq
 from .ratlp import LinearProgram, solve_min, verify
@@ -40,8 +39,8 @@ MAX_LETTERS = 24
 MAX_PIVOTS = 10 ** 6
 
 
-@dataclass(frozen=True)
-class Encoding:
+class Encoding(namedtuple("Encoding", "chain scale rectangles pieces "
+                                     "dummy_types lp row_meta")):
     """The LP of a prepared chain and the names of its rows and columns.
 
     A letter slot is (term, pos), and the corner (term, gap) after it is
@@ -57,15 +56,15 @@ class Encoding:
     The columns are the rectangles, then the pieces, bigons before
     triangles, each in tuple order, which is the order the walk makes
     them in (see the module docstring); the dummy rows follow dummy_types.
+
+    chain is the prepared chain (cyclic words, positive integer
+    coefficients) and scale the rational multiplier that made the input
+    integral; dummy_types holds every ordered corner pair, in tuple order;
+    lp is the LinearProgram, and row_meta names each row ("cover", slot),
+    ("side", rect, which) or ("dummy", d).
     """
 
-    chain: Chain  # prepared: cyclic words, positive integer coefficients
-    scale: object  # rational multiplier that made the input integral
-    rectangles: tuple
-    pieces: tuple
-    dummy_types: tuple  # every ordered corner pair, in tuple order
-    lp: LinearProgram
-    row_meta: tuple  # ("cover", slot) / ("side", rect, which) / ("dummy", d)
+    __slots__ = ()
 
 
 def _letter(chain, slot):
@@ -277,8 +276,9 @@ def _scaled(result, k):
     """result with its value and nonzero primal entries times k > 0."""
     if k == 1:
         return result
-    return replace(result, value=result.value * k,
-                   primal=tuple(v * k if v else v for v in result.primal))
+    return result._replace(value=result.value * k,
+                           primal=tuple(v * k if v else v
+                                        for v in result.primal))
 
 
 def solve_chain(chain, max_letters=MAX_LETTERS, max_pivots=MAX_PIVOTS):
@@ -466,4 +466,4 @@ def decode_certificate(encoding, result):
             % (bands.chi, chi_formula))
     if -qq(chi_formula) != qq(n) * result.value:
         raise InvariantViolationError("chi does not match the LP optimum")
-    return replace(bands, degree=n)
+    return bands._replace(degree=n)

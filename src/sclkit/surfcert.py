@@ -9,7 +9,7 @@ of its cycles, so -chi/(2n) is an upper bound for scl of the chain it
 covers n times; equality is an extremality certificate.
 """
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .chainexpr import format_chain, parse_chain
 from .errors import InvariantViolationError, ResourceLimitError
@@ -18,19 +18,19 @@ from .freegroup import (Chain, ChainTerm, Word, canonicalize, letter_to_char,
 from .rational import ONE, qq
 
 
-@dataclass(frozen=True)
-class ArcSystem:
-    """Boundary cycles of a band surface; each letter is an arc."""
+class ArcSystem(namedtuple("ArcSystem", "cycles rank")):
+    """Boundary cycles of a band surface, a tuple of Words all of the
+    given rank; each letter is an arc."""
 
-    cycles: tuple  # of Word, all the same rank
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for w in self.cycles:
+    def __new__(cls, cycles, rank):
+        for w in cycles:
             if not isinstance(w, Word) or len(w) == 0:
                 raise ValueError("cycles must be nonempty words")
-            if w.rank != self.rank:
+            if w.rank != rank:
                 raise ValueError("cycle rank mismatch")
+        return super().__new__(cls, cycles, rank)
 
     def arcs(self):
         return [(i, j) for i, w in enumerate(self.cycles)
@@ -52,28 +52,28 @@ def arc_system(cycle_words, rank=None):
     return ArcSystem(cycles, rank)
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A perfect pairing of arcs into bands (inverse letters only)."""
+class Matching(namedtuple("Matching", "system pairs")):
+    """A perfect pairing of arcs into bands (inverse letters only): pairs
+    is a tuple of ((i, j), (i, j)), each pair sorted, pairs sorted."""
 
-    system: ArcSystem
-    pairs: tuple  # of ((i, j), (i, j)), each pair sorted, pairs sorted
+    __slots__ = ()
 
-    def __post_init__(self):
-        arcs = set(self.system.arcs())
+    def __new__(cls, system, pairs):
+        arcs = set(system.arcs())
         seen = set()
-        for a, b in self.pairs:
+        for a, b in pairs:
             for x in (a, b):
                 if x not in arcs:
                     raise ValueError("unknown arc %r" % (x,))
                 if x in seen:
                     raise ValueError("arc %r paired twice" % (x,))
                 seen.add(x)
-            if self.system.letter(a) != -self.system.letter(b):
+            if system.letter(a) != -system.letter(b):
                 raise ValueError(
                     "pair %r, %r does not join inverse letters" % (a, b))
         if len(seen) != len(arcs):
             raise ValueError("matching must cover every arc")
+        return super().__new__(cls, system, pairs)
 
     def partner(self):
         out = {}
@@ -124,14 +124,12 @@ def euler_characteristic(m):
     return len(_corner_orbits(m)) - len(m.pairs)
 
 
-@dataclass(frozen=True)
-class SurfaceCertificate:
-    """A verified surface: chi, the chain its boundary covers, and the
-    covering degree."""
+class SurfaceCertificate(namedtuple("SurfaceCertificate",
+                                    "chi degree boundary")):
+    """A verified surface: chi, the covering degree, and the canonical
+    chain its full boundary covers."""
 
-    chi: int
-    degree: int
-    boundary: Chain  # canonical form of the full boundary
+    __slots__ = ()
 
 
 def boundary_chain(system):
@@ -280,7 +278,7 @@ def search_matching(chain, n=1, max_nodes=10 ** 7):
                              for _ in range(int(t.coefficient) * n)),
                        prepared.rank)
     chi, m = search_matching_arcs(system, max_nodes=max_nodes)
-    cert = replace(certificate_from_matching(m), degree=n)
+    cert = certificate_from_matching(m)._replace(degree=n)
     if cert.chi != chi:
         raise InvariantViolationError("search chi %d disagrees with "
                                       "corner-orbit chi %d" % (chi, cert.chi))

@@ -1,8 +1,10 @@
-"""Shared pinned values, seeded random chain generators and the rotation
-defect probe."""
+"""Shared pinned values, seeded random chain generators, the rotation
+defect probe and the environment of a child sclkit process."""
 
+import os
 import random
 
+import sclkit
 from sclkit.chainexpr import parse_chain
 from sclkit.errors import InvariantViolationError
 from sclkit.freegroup import (add_chains, canonicalize, chain_of, concat,
@@ -109,3 +111,12 @@ def defect_probe(rep=None, samples=500, seed=20260814):
             raise InvariantViolationError(
                 "defect %d exceeds 1 on %r, %r" % (worst, str(g), str(h)))
     return worst
+
+
+def child_env():
+    """os.environ with the directory that holds this sclkit first on
+    PYTHONPATH: pytest's pythonpath setting does not reach a child
+    process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sclkit.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))

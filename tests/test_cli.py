@@ -15,6 +15,8 @@ import sclkit.surfcert
 from sclkit.cli import main
 from sclkit.rational import qq
 
+from conftest import child_env
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -384,13 +386,26 @@ def test_exit_code_holonomy_overflow(capsys):
 
 
 def test_module_entry_point():
-    # pytest's pythonpath setting does not reach a child process, so the
-    # child gets the directory that holds this sclkit on its PYTHONPATH
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sclkit.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "sclkit", "scl", "[a,b]"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout == "scl = 1/2\n"
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_closed_stdout_is_quiet(json_flag):
+    # stdout is a pipe whose reader is already gone: the write fails with
+    # BrokenPipeError, an OSError, so exit 2 with one error line
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sclkit", "rot", "abAB", *json_flag],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=child_env())
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: [Errno 32] Broken pipe\n"
+    assert proc.returncode == 2

@@ -5,9 +5,9 @@ import pytest
 from sclkit import immersion
 from sclkit.chainexpr import parse_chain, parse_word
 from sclkit.errors import (InvariantViolationError, NotBoundaryError,
-                           RankMismatchError)
-from sclkit.freegroup import (add_chains, chains_equal, invert_chain,
-                              single_chain, word)
+                           RankMismatchError, ResourceLimitError)
+from sclkit.freegroup import (add_chains, canonicalize, chains_equal,
+                              invert_chain, prepare, single_chain, word)
 from sclkit.immersion import (BOUNDARY_CLASS, CriterionReport,
                               bounds_immersed, corollary_check,
                               minimal_stabilization, scan_conjecture)
@@ -15,7 +15,7 @@ from sclkit.rational import qq
 from sclkit.sclenc import scl
 from sclkit.rotation import rot
 
-from conftest import RANK2_CORPUS, chain, seeded
+from conftest import COMMUTATOR_WORDS, RANK2_CORPUS, chain, seeded
 
 
 def test_boundary_class():
@@ -169,6 +169,40 @@ def test_corollary_matches_joined_word():
     # the insertion word computes scl of the formal sum of its two halves
     joined = word("abABcabABC")  # abAB * c abAB c^-1 in rank 3
     assert scl(single_chain(joined)) == corollary_check(word("abAB"), 1)[0]
+
+
+def test_corollary_letter_cap_precedes_the_word(monkeypatch):
+    # the cap is checked on 4|n| + |w| + 2 before (abAB)^n is built
+    def no_power(w, n):
+        raise AssertionError("word_power called")
+    monkeypatch.setattr(immersion, "word_power", no_power)
+    for w, n, limits, message in [
+            ("abAB", 100000, {}, "chain has 400006 letters, cap is 24"),
+            ("abAB", -100000, {}, "chain has 400006 letters, cap is 24"),
+            ("babABB", 4, {"max_letters": 23},
+             "chain has 24 letters, cap is 23")]:
+        with pytest.raises(ResourceLimitError, match="^%s$" % message):
+            corollary_check(word(w), n, **limits)
+    # a word outside the commutator subgroup is still exit 3, not 4
+    with pytest.raises(NotBoundaryError):
+        corollary_check(word("ab"), 100000)
+
+
+def test_corollary_letter_count_is_exact(monkeypatch):
+    # for n != 0 the count is the prepared length of the word solved, so
+    # the early check refuses exactly what build_lp would
+    solved = []
+    monkeypatch.setattr(immersion.sclenc, "scl",
+                        lambda chain, **limits: solved.append(chain) or qq(0))
+    for text in COMMUTATOR_WORDS:
+        w = word(text)
+        for n in (-3, -1, 1, 2):
+            count = 4 * abs(n) + len(w) + 2
+            corollary_check(w, n, max_letters=count)
+            prepared, _ = prepare(canonicalize(solved.pop()))
+            assert sum(len(t.word) for t in prepared.terms) == count, (text, n)
+            with pytest.raises(ResourceLimitError):
+                corollary_check(w, n, max_letters=count - 1)
 
 
 def test_criterion_closed_under_addition():

@@ -4,8 +4,12 @@ no floating point reaches a computed value."""
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 
 import sclkit
+
+from conftest import child_env
 
 PACKAGE = pathlib.Path(sclkit.__file__).parent
 
@@ -70,6 +74,31 @@ def test_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name)
+
+
+def test_no_dataclasses():
+    # records are namedtuple subclasses: dataclasses, and the inspect it
+    # pulls in, would cost every sclkit process its start-up time
+    found = []
+    for name, tree in parsed_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += ["%s.py:%d" % (name, node.lineno)
+                          for alias in node.names
+                          if alias.name.split(".")[0] == "dataclasses"]
+            elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                  and (node.module or "").split(".")[0] == "dataclasses"):
+                found.append("%s.py:%d" % (name, node.lineno))
+    assert found == []
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # a fresh interpreter, as each sclkit command is
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sclkit.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=child_env(), check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_no_floating_point():

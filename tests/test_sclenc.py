@@ -1,6 +1,5 @@
 """The rectangle-and-polygon LP encoding and exact scl values."""
 
-import dataclasses
 import importlib.util
 import json
 import math
@@ -382,9 +381,9 @@ def test_decode_certificate_corpus_soundness():
 def test_decode_certificate_rejects_tampered_result():
     enc, res = solve_chain(parse_chain("2*abAB + ab - a - b").chain)
     with pytest.raises(InvariantViolationError):
-        decode_certificate(enc, dataclasses.replace(res, value=res.value + 1))
+        decode_certificate(enc, res._replace(value=res.value + 1))
     with pytest.raises(InvariantViolationError):
-        decode_certificate(enc, dataclasses.replace(res, value=res.value / 2))
+        decode_certificate(enc, res._replace(value=res.value / 2))
     # one more copy of a piece whose only dummy side is the greater of
     # its reverse pair, whose reverse no used piece has: that side is
     # left without a partner
@@ -399,7 +398,7 @@ def test_decode_certificate_rejects_tampered_result():
     primal = list(res.primal)
     primal[col] += 1
     with pytest.raises(InvariantViolationError, match="unbalanced"):
-        decode_certificate(enc, dataclasses.replace(res, primal=tuple(primal)))
+        decode_certificate(enc, res._replace(primal=tuple(primal)))
 
 
 def test_homogeneity_random():
