@@ -11,6 +11,7 @@ violation.
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -296,30 +297,35 @@ def _parser():
 def main(argv=None):
     """Run one subcommand and return its exit code.  The handlers return
     (record, lines); the command name and caps are added to every record
-    here.  The output is written and flushed inside the guard, so a
-    closed stdout is an OSError like any other, exit 2, and not a
-    traceback at exit."""
+    here."""
     args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         record, lines = args.handler(args)
-        record.update(command=args.subcommand, limits=_limits(args))
-        elapsed = time.perf_counter() - start
-        if args.json:
-            doc = {"record": record,
-                   "timing": {"seconds": round(elapsed, 6),
-                              "soft_budget_exceeded":
-                                  elapsed > SOFT_BUDGET_SECONDS}}
-            print(json.dumps(doc, sort_keys=True, indent=2))
-        else:
-            for line in lines:
-                print(line)
-            if elapsed > SOFT_BUDGET_SECONDS:
-                print("note: command exceeded the %ds soft budget"
-                      % int(SOFT_BUDGET_SECONDS), file=sys.stderr)
-        sys.stdout.flush()
     except (SclError, ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return next((code for kind, code in _EXIT_CODES
                      if isinstance(err, kind)), 2)
+    record.update(command=args.subcommand, limits=_limits(args))
+    elapsed = time.perf_counter() - start
+    if args.json:
+        lines = [json.dumps(
+            {"record": record,
+             "timing": {"seconds": round(elapsed, 6),
+                        "soft_budget_exceeded": elapsed > SOFT_BUDGET_SECONDS}},
+            sort_keys=True, indent=2)]
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except OSError as err:
+        # stdout is closed or full.  Its buffer keeps the unwritten bytes,
+        # so the flush at interpreter exit would fail again; send them to
+        # the null device instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: %s" % err, file=sys.stderr)
+        return 2
+    if elapsed > SOFT_BUDGET_SECONDS and not args.json:
+        print("note: command exceeded the %ds soft budget"
+              % int(SOFT_BUDGET_SECONDS), file=sys.stderr)
     return 0

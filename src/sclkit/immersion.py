@@ -13,8 +13,7 @@ scl((abAB)^n c w c^-1) with (|n + rot(w)| + 1)/2.
 from collections import namedtuple
 
 from . import rotation, sclenc
-from .errors import (InvariantViolationError, NotBoundaryError,
-                     RankMismatchError, ResourceLimitError)
+from .errors import InvariantViolationError, NotBoundaryError, RankMismatchError
 from .freegroup import (Chain, ChainTerm, add_chains, canonicalize, concat,
                         invert, make_word, scale_chain, single_chain,
                         with_rank, word, word_exponents, word_power)
@@ -154,11 +153,8 @@ def corollary_check(w, n, **limits):
     word is built.
     """
     w = _commutator_word(w)
-    letters = 4 * abs(n) + len(w) + 2
-    max_letters = limits.get("max_letters", sclenc.MAX_LETTERS)
-    if n != 0 and letters > max_letters:
-        raise ResourceLimitError(
-            "chain has %d letters, cap is %d" % (letters, max_letters))
+    if n != 0:
+        sclenc.check_letters(4 * abs(n) + len(w) + 2, **limits)
     c = make_word((3,), 3)
     inserted = concat(with_rank(word_power(BOUNDARY_CLASS, n), 3),
                       c, with_rank(w, 3), invert(c))

@@ -222,6 +222,15 @@ def enumerate_pieces(chain):
     return _walk(chain, enumerate_rectangles(chain))[0]
 
 
+def check_letters(letters, max_letters=MAX_LETTERS, **_other_limits):
+    """ResourceLimitError if a prepared chain of this many letters is over
+    the letter cap.  Other caps are ignored, so a caller may pass its
+    limits whole."""
+    if letters > max_letters:
+        raise ResourceLimitError(
+            "chain has %d letters, cap is %d" % (letters, max_letters))
+
+
 def build_lp(chain, max_letters=MAX_LETTERS):
     """Assemble the full encoding of a homologically trivial chain.
 
@@ -238,10 +247,7 @@ def build_lp(chain, max_letters=MAX_LETTERS):
     A malformed LP is an internal fault, InvariantViolationError.
     """
     prepared, scale = prepare(chain)  # raises unless a boundary
-    letters = sum(len(t.word) for t in prepared.terms)
-    if letters > max_letters:
-        raise ResourceLimitError(
-            "chain has %d letters, cap is %d" % (letters, max_letters))
+    check_letters(sum(len(t.word) for t in prepared.terms), max_letters)
     rectangles = enumerate_rectangles(prepared)
     pieces, dummy_types, meta, rows, objective = _walk(prepared, rectangles)
     rhs = [qq(prepared.terms[term].coefficient)

@@ -393,17 +393,23 @@ def test_module_entry_point():
     assert proc.stdout == "scl = 1/2\n"
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("json_flag", [(), ("--json",)])
-def test_closed_stdout_is_quiet(json_flag):
+def test_closed_stdout_is_quiet(json_flag, unbuffered):
     # stdout is a pipe whose reader is already gone: the write fails with
-    # BrokenPipeError, an OSError, so exit 2 with one error line
+    # BrokenPipeError, an OSError, so exit 2 with one error line.  A
+    # buffered stdout (the default) still holds the bytes afterwards, and
+    # its flush at interpreter exit must not fail a second time
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "sclkit", "rot", "abAB", *json_flag],
-            stdout=write_end, stderr=subprocess.PIPE, text=True,
-            env=child_env())
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
     finally:
         os.close(write_end)
     assert "Traceback" not in proc.stderr

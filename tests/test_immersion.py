@@ -179,7 +179,7 @@ def test_corollary_letter_cap_precedes_the_word(monkeypatch):
     for w, n, limits, message in [
             ("abAB", 100000, {}, "chain has 400006 letters, cap is 24"),
             ("abAB", -100000, {}, "chain has 400006 letters, cap is 24"),
-            ("babABB", 4, {"max_letters": 23},
+            ("babABB", 4, {"max_letters": 23, "max_pivots": 10},
              "chain has 24 letters, cap is 23")]:
         with pytest.raises(ResourceLimitError, match="^%s$" % message):
             corollary_check(word(w), n, **limits)
