@@ -166,13 +166,39 @@ def extremality_ratio(certificate, chain):
     return -qq(certificate.chi) / (2 * mult)
 
 
-def search_matching_arcs(system, max_nodes=10 ** 7):
+# the default node cap of the matching search
+MAX_NODES = 10 ** 7
+
+
+def search_matching_arcs(system, max_nodes=MAX_NODES):
     """Maximize chi over all pairings of an arc system, exhaustively.
 
-    Branch and bound: arcs are matched in index order; closing a corner
-    cycle is detected by union-find, and a branch is cut when even one
-    new cycle per remaining unmatched arc cannot beat the best chi.
-    Returns (chi, Matching); deterministic (first optimum found wins).
+    Branch and bound: the lowest unmatched arc a is matched first, each
+    pairing adds the corner steps a -> pred(b) and b -> pred(a), and a
+    corner cycle closes when a step joins a path to itself (union-find).
+    Returns (chi, Matching); deterministic: the first optimum in this
+    depth-first order wins.  Two prunings cut branches that cannot hold
+    that optimum, so they change neither chi nor the pairs.
+
+    Copy symmetry.  A partner b of a in cycle j is skipped when cycle j-1
+    spells the same word, neither cycle has a matched arc yet, and a is
+    not in cycle j-1.  A corner step touches only matched arcs and their
+    predecessors, so no step touches either cycle, and swapping the two
+    copies maps the state, and a, to themselves.  The swap then maps the
+    pairings that contain (a, b) one to one, chi for chi, onto those that
+    contain (a, b'), b' the copy of b in cycle j-1, which come first.  If
+    a is in cycle j-1 the swap moves a, so that case is not skipped.
+
+    Bound.  The corner steps made so far form closed cycles and open
+    paths, one open path ending at each unmatched arc, and each cycle
+    still to close joins one or more of them.  A path of one arc u closes
+    alone only if u's partner is the arc after u, which then carries u's
+    inverse letter; no cyclically reduced cycle has such an arc, and
+    search_matching builds only those.  Let S count the one-arc paths
+    that cannot close alone, and M the other open paths.  A cycle still
+    to close that joins none of the M joins two or more of the S, so at
+    most M + S // 2 more cycles close; a branch is cut when that cannot
+    beat the best chi.
     """
     arcs = system.arcs()
     n_arcs = len(arcs)
@@ -185,6 +211,16 @@ def search_matching_arcs(system, max_nodes=10 ** 7):
     for x, group in by_letter.items():
         if len(group) != len(by_letter.get(-x, [])):
             raise ValueError("letters do not pair up; no matching exists")
+    cycle_of = [i for i, _ in arcs]
+    # twin[i]: cycle i spells the same word as cycle i - 1
+    twin = [i > 0 and w == system.cycles[i - 1]
+            for i, w in enumerate(system.cycles)]
+    touched = [0] * len(system.cycles)  # matched arcs per cycle
+    # single[u]: u is unmatched, no corner step touches it, and the arc
+    # after it does not carry its inverse letter
+    single = [False] * n_arcs
+    for k, u in enumerate(pred_gap):
+        single[u] = letters[k] != -letters[u]
 
     parent = list(range(n_arcs))
     size = [1] * n_arcs
@@ -218,51 +254,66 @@ def search_matching_arcs(system, max_nodes=10 ** 7):
     matched = [False] * n_arcs
     total_pairs = n_arcs // 2
     best = {"chi": None, "pairs": None}
-    state = {"nodes": 0, "closed": 0, "unmatched": n_arcs}
+    nodes = [0]
     chosen = []
 
-    def recurse(start):
-        state["nodes"] += 1
-        if state["nodes"] > max_nodes:
+    def recurse(start, closed, unmatched, singles):
+        nodes[0] += 1
+        if nodes[0] > max_nodes:
             raise ResourceLimitError(
                 "matching search exceeded %d nodes" % max_nodes)
         a = start
         while a < n_arcs and matched[a]:
             a += 1
         if a == n_arcs:
-            chi = state["closed"] - total_pairs
+            chi = closed - total_pairs
             if best["chi"] is None or chi > best["chi"]:
                 best["chi"] = chi
                 best["pairs"] = tuple(chosen)
             return
+        ca = cycle_of[a]
         for b in by_letter.get(-letters[a], ()):
-            if matched[b] or b == a:
+            cb = cycle_of[b]
+            if matched[b] or (twin[cb] and cb - 1 != ca and not touched[cb]
+                              and not touched[cb - 1]):
                 continue
             matched[a] = matched[b] = True
-            closed = link(a, pred_gap[b]) + link(b, pred_gap[a])
-            state["closed"] += closed
-            state["unmatched"] -= 2
-            # each unset corner step can close at most one new cycle
-            bound = state["closed"] + state["unmatched"] - total_pairs
+            touched[ca] += 1
+            touched[cb] += 1
+            # a and b get matched, pred(b) and pred(a) a step in: none
+            # of the four is a one-arc path afterwards
+            dropped = []
+            for u in (a, b, pred_gap[a], pred_gap[b]):
+                if single[u]:
+                    single[u] = False
+                    dropped.append(u)
+            now_closed = (closed + link(a, pred_gap[b])
+                          + link(b, pred_gap[a]))
+            now_singles = singles - len(dropped)
+            # M + S // 2 = unmatched - ceil(S / 2) cycles can still close
+            bound = (now_closed + unmatched - 2 - (now_singles + 1) // 2
+                     - total_pairs)
             if best["chi"] is None or bound > best["chi"]:
                 chosen.append((arcs[a], arcs[b]))
-                recurse(a + 1)
+                recurse(a + 1, now_closed, unmatched - 2, now_singles)
                 chosen.pop()
-            state["unmatched"] += 2
-            state["closed"] -= closed
             unlink()
             unlink()
+            for u in dropped:
+                single[u] = True
+            touched[ca] -= 1
+            touched[cb] -= 1
             matched[a] = matched[b] = False
 
     try:
-        recurse(0)
+        recurse(0, 0, n_arcs, sum(single))
     except RecursionError:
         raise ResourceLimitError(
             "matching search too deep for the stack") from None
     return best["chi"], matching(system, best["pairs"])
 
 
-def search_matching(chain, n=1, max_nodes=10 ** 7):
+def search_matching(chain, n=1, max_nodes=MAX_NODES):
     """Best band surface whose boundary covers the chain n times.
 
     The chain is prepared (integer positive coefficients) and each term

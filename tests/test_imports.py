@@ -124,22 +124,32 @@ def test_no_floating_point():
 
 def test_caps_declared_once():
     # the default caps are sclenc.MAX_LETTERS and sclenc.MAX_PIVOTS (ratlp,
-    # below sclenc, keeps its own pivot default); everything above forwards
+    # below sclenc, keeps its own pivot default) and surfcert.MAX_NODES,
+    # which surfcert's own defaults name; everything above forwards
     found = []
     for name, tree in parsed_modules().items():
-        if name in ("sclenc", "ratlp"):
-            continue
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.Lambda)):
                 args = node.args
                 positional = args.posonlyargs + args.args
-                defaulted = positional[len(positional) - len(args.defaults):]
-                defaulted += [a for a, d in zip(args.kwonlyargs,
-                                                args.kw_defaults) if d]
-                found += ["%s.py:%d %s" % (name, node.lineno, a.arg)
-                          for a in defaulted
-                          if a.arg in ("max_letters", "max_pivots")]
+                defaulted = list(zip(positional[len(positional)
+                                                - len(args.defaults):],
+                                     args.defaults))
+                defaulted += [(a, d) for a, d in zip(args.kwonlyargs,
+                                                     args.kw_defaults) if d]
+                for a, default in defaulted:
+                    if a.arg in ("max_letters", "max_pivots"):
+                        stray = name not in ("sclenc", "ratlp")
+                    elif a.arg == "max_nodes":
+                        stray = name != "surfcert" or not (
+                            isinstance(default, ast.Name)
+                            and default.id == "MAX_NODES")
+                    else:
+                        continue
+                    if stray:
+                        found.append("%s.py:%d %s" % (name, node.lineno,
+                                                      a.arg))
     assert found == []
 
 

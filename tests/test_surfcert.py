@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import pathlib
 
 import pytest
 
@@ -19,7 +20,10 @@ from sclkit.surfcert import (ArcSystem, Matching, SurfaceCertificate,
                              search_matching, search_matching_arcs,
                              write_certificate)
 
+import matching_oracle
 from conftest import chain, random_trivial_chain, seeded
+
+PINS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
 
 
 def punctured_torus_matching():
@@ -223,6 +227,89 @@ def test_search_matching_determinism():
     second = search_matching(c)
     assert first[0] == second[0]
     assert first[1].pairs == second[1].pairs
+
+
+def copies_system(c, n):
+    """The arc system search_matching builds: n * coefficient copies of
+    each prepared term."""
+    prepared, _ = prepare(c)
+    return ArcSystem(tuple(t.word for t in prepared.terms
+                           for _ in range(int(t.coefficient) * n)),
+                     prepared.rank)
+
+
+def check_against_oracle(c, n, max_nodes=10 ** 7):
+    """Assert that search_matching(c, n) returns the oracle's (chi,
+    pairs), and return chi; None when the oracle does not finish under
+    max_nodes."""
+    system = copies_system(c, n)
+    try:
+        want = matching_oracle.search_matching_arcs(system, max_nodes)
+    except ResourceLimitError:
+        return None
+    cert, m = search_matching(c, n=n)
+    assert m.system == system
+    assert (cert.chi, m.pairs) == want, (c, n)
+    return cert.chi
+
+
+def pinned_matchbounds():
+    """(chain text, degree, chi) of every matchbound command the benchmark
+    pins with exit 0."""
+    out = []
+    for pin in json.loads(PINS.read_text())["cli"]:
+        for command in pin["commands"]:
+            argv = command["argv"]
+            if argv[0] == "matchbound" and command["exit"] == 0:
+                degree = int(argv[argv.index("--degree") + 1])
+                out.append((argv[1], degree, command["record"]["chi"]))
+    return out
+
+
+def test_search_matches_oracle_on_pins():
+    pins = pinned_matchbounds()
+    assert len(pins) == 16
+    for expr, degree, chi in pins:
+        assert check_against_oracle(chain(expr), degree) == chi, expr
+
+
+def test_search_matches_oracle_on_copies():
+    # repeated cycles, where the copy symmetry prunes
+    for n in (2, 3, 4, 5):
+        assert check_against_oracle(chain("abAB"), n) is not None
+    assert check_against_oracle(chain("abAB + abAB"), 1) is not None
+
+
+def test_search_matches_oracle_on_raw_systems():
+    # the wrapped cycles of test_wrapped_cycles_certificate, where the
+    # lowest arc's own copy must not be skipped; then arcs followed by
+    # their inverse letter (the A of abA), which a cyclically reduced
+    # cycle never has: such a one-arc path can close alone, so the bound
+    # must not pair it up (the last system finds other pairs if it does)
+    for cycles in (["abABabAB", "abABabAB", "BA", "BA", "aa", "bb"],
+                   ["abA", "aBA", "A", "a"], ["aab", "B", "A", "A"],
+                   ["B", "A", "bAB", "Aba", "baB", "baB"]):
+        system = arc_system(cycles)
+        chi, m = search_matching_arcs(system)
+        assert (chi, m.pairs) == matching_oracle.search_matching_arcs(
+            system, 10 ** 7), cycles
+
+
+def test_search_matches_oracle_on_random_chains():
+    rng = seeded(777)
+    agreed = 0
+    for _ in range(300):
+        c = scale_chain(random_trivial_chain(rng), rng.randint(1, 3))
+        agreed += check_against_oracle(c, rng.randint(1, 2),
+                                       max_nodes=5000) is not None
+    assert agreed >= 200
+
+
+def test_search_node_counts():
+    # without copy symmetry and the paired bound they took 14,872 and
+    # 306,613 nodes
+    search_matching(chain("abAB"), n=5, max_nodes=2000)
+    search_matching(chain("aaB + A + bA"), n=4, max_nodes=10 ** 4)
 
 
 def test_search_node_cap():
