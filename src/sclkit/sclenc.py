@@ -348,26 +348,27 @@ def scl(chain, max_letters=MAX_LETTERS, max_pivots=MAX_PIVOTS):
 # ---------------------------------------------------------------------------
 # decoding optimal vertices into surface certificates
 
-def _integer_counts(encoding, result):
-    """(N, rectangle counts, piece counts): the vertex times the lcm N of
-    its denominators, doubled if a self-reverse dummy type then has odd
-    usage, so that its side instances can pair among themselves."""
-    nrect = len(encoding.rectangles)
-    n = denominator_lcm(result.primal)
-    counts = [w.numerator * n // w.denominator for w in result.primal]
-    used = [(c, p) for c, p in zip(counts[nrect:], encoding.pieces) if c]
-    # safety code, unreached so far: no optimal vertex seen uses a loop dummy
-    if any(sum(p.count(d) * c for c, p in used) % 2
-           for d in encoding.dummy_types if d[1] == d[2]):
-        n *= 2
-        counts = [2 * c for c in counts]
-    return n, counts[:nrect], counts[nrect:]
-
-
 def _pair_dummies(pieces, piece_counts):
     """Pair off the dummy side instances (piece, copy, side): the k-th
     instance of a dummy type in position order with the k-th of its
-    reverse.  Returns the pairing as an involution on instances."""
+    reverse.  Returns the pairing as an involution on instances.
+
+    No optimal vertex uses a loop, a dummy (1, c, c), so a loop in use
+    raises InvariantViolationError.  Proof: let a column with a loop
+    have weight w > 0.  Real sides go from a to b with a != b, since
+    words are cyclically reduced.
+    - A two-real loop triangle (s, s2, d(a, a)) or (s, d(b, b), s1)
+      enters the rows of its real sides, as the bigon (s, s2) or (s, s1)
+      does: a loop has no row.  Moving the weight to the bigon keeps
+      every row and lowers the cost by w/2 (-1 against -1/2).
+    - A one-real loop triangle, (s, d(b, b), d(b, a)) or
+      (s, d(b, a), d(a, a)), costs 0, and its d(b, a) must be balanced
+      in the dummy row by some piece P of weight v > 0 that holds
+      d(a, b).  P with d(a, b) replaced by s is a column: no triangle
+      holds two sides from a to b.  Moving min(w, v) of both onto it
+      keeps every row and lowers the cost by min(w, v)/2.
+    So the LP optimum is never reached with weight on a loop.
+    """
     instances = {}  # dummy type -> its instances in position order
     for pi, piece in enumerate(pieces):
         for copy in range(piece_counts[pi]):
@@ -377,14 +378,12 @@ def _pair_dummies(pieces, piece_counts):
     partner = {}
     for d, mine in instances.items():
         r = (1, d[2], d[1])
+        if d == r:
+            raise InvariantViolationError("loop dummy %r in use" % (d,))
         theirs = instances.get(r, [])
         if len(theirs) != len(mine):
             raise InvariantViolationError("unbalanced dummy usage")
-        if d == r:  # a loop pairs among itself (unreached, as above)
-            if len(mine) % 2 != 0:
-                raise InvariantViolationError("odd self-reverse dummy usage")
-            mine, theirs = mine[0::2], mine[1::2]
-        elif r < d:
+        if r < d:
             continue
         for a, b in zip(mine, theirs):
             partner[a] = b
@@ -451,7 +450,10 @@ def decode_certificate(encoding, result):
     optimum, and its boundary must be N times the encoded chain, where N
     is the scaling; any disagreement raises InvariantViolationError.
     """
-    n, rect_counts, piece_counts = _integer_counts(encoding, result)
+    n = denominator_lcm(result.primal)
+    counts = [w.numerator * n // w.denominator for w in result.primal]
+    nrect = len(encoding.rectangles)
+    rect_counts, piece_counts = counts[:nrect], counts[nrect:]
     partner = _pair_dummies(encoding.pieces, piece_counts)
     circles, arc_at = _trace_boundary(encoding, rect_counts, piece_counts,
                                       partner)

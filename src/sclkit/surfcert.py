@@ -175,7 +175,8 @@ def search_matching_arcs(system, max_nodes=MAX_NODES):
 
     Branch and bound: the lowest unmatched arc a is matched first, each
     pairing adds the corner steps a -> pred(b) and b -> pred(a), and a
-    corner cycle closes when a step joins a path to itself (union-find).
+    corner cycle closes when a step joins the two ends of one open path
+    (each path is known by its ends).
     Returns (chi, Matching); deterministic: the first optimum in this
     depth-first order wins.  Two prunings cut branches that cannot hold
     that optimum, so they change neither chi nor the pairs.
@@ -205,6 +206,7 @@ def search_matching_arcs(system, max_nodes=MAX_NODES):
     index = {a: k for k, a in enumerate(arcs)}
     letters = [system.letter(a) for a in arcs]
     pred_gap = [index[_pred(system, a)] for a in arcs]
+    succ = [index[(i, (j + 1) % len(system.cycles[i]))] for i, j in arcs]
     by_letter = {}
     for k, x in enumerate(letters):
         by_letter.setdefault(x, []).append(k)
@@ -216,101 +218,77 @@ def search_matching_arcs(system, max_nodes=MAX_NODES):
     twin = [i > 0 and w == system.cycles[i - 1]
             for i, w in enumerate(system.cycles)]
     touched = [0] * len(system.cycles)  # matched arcs per cycle
-    # single[u]: u is unmatched, no corner step touches it, and the arc
-    # after it does not carry its inverse letter
-    single = [False] * n_arcs
-    for k, u in enumerate(pred_gap):
-        single[u] = letters[k] != -letters[u]
+    partner = [-1] * n_arcs
+    # end[x]: the arc at the other end of x's open corner path, read only
+    # at path ends; a step u -> v leaves u, the last arc of its path, and
+    # enters v, the first arc of its path
+    end = list(range(n_arcs))
 
-    parent = list(range(n_arcs))
-    size = [1] * n_arcs
-    trail = []
+    def single(u):
+        # u is unmatched, no corner step touches it, and the arc after it
+        # does not carry its inverse letter
+        s = succ[u]
+        return partner[u] < 0 and partner[s] < 0 and letters[s] != -letters[u]
 
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def link(u, v):
-        # directed corner step u -> v; returns cycles closed (0 or 1)
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            trail.append(None)
-            return 1
-        if size[ru] < size[rv]:
-            ru, rv = rv, ru
-        parent[rv] = ru
-        size[ru] += size[rv]
-        trail.append((ru, rv))
-        return 0
-
-    def unlink():
-        entry = trail.pop()
-        if entry is not None:
-            ru, rv = entry
-            parent[rv] = rv
-            size[ru] -= size[rv]
-
-    matched = [False] * n_arcs
     total_pairs = n_arcs // 2
-    best = {"chi": None, "pairs": None}
-    nodes = [0]
-    chosen = []
+    best_chi = best_pairs = None
+    nodes = 0
 
     def recurse(start, closed, unmatched, singles):
-        nodes[0] += 1
-        if nodes[0] > max_nodes:
+        nonlocal best_chi, best_pairs, nodes
+        nodes += 1
+        if nodes > max_nodes:
             raise ResourceLimitError(
                 "matching search exceeded %d nodes" % max_nodes)
         a = start
-        while a < n_arcs and matched[a]:
+        while a < n_arcs and partner[a] >= 0:
             a += 1
         if a == n_arcs:
             chi = closed - total_pairs
-            if best["chi"] is None or chi > best["chi"]:
-                best["chi"] = chi
-                best["pairs"] = tuple(chosen)
+            if best_chi is None or chi > best_chi:
+                best_chi = chi
+                best_pairs = [(arcs[u], arcs[v])
+                              for u, v in enumerate(partner) if u < v]
             return
-        ca = cycle_of[a]
+        ca, pa = cycle_of[a], pred_gap[a]
         for b in by_letter.get(-letters[a], ()):
-            cb = cycle_of[b]
-            if matched[b] or (twin[cb] and cb - 1 != ca and not touched[cb]
-                              and not touched[cb - 1]):
+            cb, pb = cycle_of[b], pred_gap[b]
+            if partner[b] >= 0 or (twin[cb] and cb - 1 != ca
+                                   and not touched[cb]
+                                   and not touched[cb - 1]):
                 continue
-            matched[a] = matched[b] = True
-            touched[ca] += 1
-            touched[cb] += 1
             # a and b get matched, pred(b) and pred(a) a step in: none
             # of the four is a one-arc path afterwards
-            dropped = []
-            for u in (a, b, pred_gap[a], pred_gap[b]):
-                if single[u]:
-                    single[u] = False
-                    dropped.append(u)
-            now_closed = (closed + link(a, pred_gap[b])
-                          + link(b, pred_gap[a]))
-            now_singles = singles - len(dropped)
+            now_singles = singles - sum(map(single, {a, b, pa, pb}))
+            partner[a], partner[b] = b, a
+            touched[ca] += 1
+            touched[cb] += 1
+            # the steps a -> pb and b -> pa; a step closes a cycle when it
+            # enters the first arc of its own path, and otherwise joins
+            # two paths into one (in the closing case both writes are
+            # no-ops)
+            h1, t1 = end[a], end[pb]
+            end[h1], end[t1] = t1, h1
+            h2, t2 = end[b], end[pa]
+            end[h2], end[t2] = t2, h2
+            now_closed = closed + (h1 == pb) + (h2 == pa)
             # M + S // 2 = unmatched - ceil(S / 2) cycles can still close
             bound = (now_closed + unmatched - 2 - (now_singles + 1) // 2
                      - total_pairs)
-            if best["chi"] is None or bound > best["chi"]:
-                chosen.append((arcs[a], arcs[b]))
+            if best_chi is None or bound > best_chi:
                 recurse(a + 1, now_closed, unmatched - 2, now_singles)
-                chosen.pop()
-            unlink()
-            unlink()
-            for u in dropped:
-                single[u] = True
+            end[h2], end[t2] = b, pa
+            end[h1], end[t1] = a, pb
             touched[ca] -= 1
             touched[cb] -= 1
-            matched[a] = matched[b] = False
+            partner[a] = partner[b] = -1
 
     try:
-        recurse(0, 0, n_arcs, sum(single))
+        recurse(0, 0, n_arcs, sum(map(single, range(n_arcs))))
     except RecursionError:
         raise ResourceLimitError(
             "matching search too deep for the stack") from None
-    return best["chi"], matching(system, best["pairs"])
+    return best_chi, matching(system, best_pairs)
 
 
 def search_matching(chain, n=1, max_nodes=MAX_NODES):
@@ -333,10 +311,6 @@ def search_matching(chain, n=1, max_nodes=MAX_NODES):
     if cert.chi != chi:
         raise InvariantViolationError("search chi %d disagrees with "
                                       "corner-orbit chi %d" % (chi, cert.chi))
-    target = canonicalize(scale_chain(prepared, n))
-    if cert.boundary.terms != target.terms:
-        raise InvariantViolationError(
-            "search certificate bounds the wrong chain")
     return cert, m
 
 
@@ -359,8 +333,9 @@ def read_certificate(text):
     """Parse the textual format; returns (Matching, chain, degree).
 
     A repeated cycle id, or a second rank, chain or degree line, is a
-    ValueError naming its line, as is a degree below 1; so is a boundary
-    that is not degree times the prepared chain of the file."""
+    ValueError naming its line, as is a negative rank or a degree below 1;
+    so is a boundary that is not degree times the prepared chain of the
+    file."""
     rank = None
     cycles = {}
     pairs = []
@@ -380,6 +355,8 @@ def read_certificate(text):
             seen.add(key)
             if key == "rank":
                 rank = int(rest)
+                if rank < 0:
+                    raise ValueError("rank must be nonnegative, got %d" % rank)
             elif key == "cycle":
                 if rank is None:
                     raise ValueError("rank must come before cycles")

@@ -384,6 +384,15 @@ def test_decode_certificate_rejects_tampered_result():
         decode_certificate(enc, res._replace(value=res.value + 1))
     with pytest.raises(InvariantViolationError):
         decode_certificate(enc, res._replace(value=res.value / 2))
+    # one copy of a triangle whose only dummy side is a loop: no optimal
+    # vertex uses a loop (see _pair_dummies), so decoding stops at it
+    nrect = len(enc.rectangles)
+    col = next(col for col, p in enumerate(enc.pieces, nrect)
+               if [d[1] == d[2] for d in p if d[0]] == [True])
+    primal = list(res.primal)
+    primal[col] = qq(1)
+    with pytest.raises(InvariantViolationError, match="loop dummy"):
+        decode_certificate(enc, res._replace(primal=tuple(primal)))
     # one more copy of a piece whose only dummy side is the greater of
     # its reverse pair, whose reverse no used piece has: that side is
     # left without a partner

@@ -306,10 +306,15 @@ def test_search_matches_oracle_on_random_chains():
 
 
 def test_search_node_counts():
-    # without copy symmetry and the paired bound they took 14,872 and
-    # 306,613 nodes
-    search_matching(chain("abAB"), n=5, max_nodes=2000)
-    search_matching(chain("aaB + A + bA"), n=4, max_nodes=10 ** 4)
+    # the README's table: without copy symmetry and the paired bound the
+    # rows took 306,613, 306,581, 14,872 and 306,613 nodes
+    for expr, n, nodes in [("2/3*aaabA + 2/3*BA - 1/3*aa", 2, 3136),
+                           ("4/3*B + 2/3*abbabb - 4/3*aabA", 1, 3391),
+                           ("abAB", 5, 464),
+                           ("aaB + A + bA", 4, 3136)]:
+        search_matching(chain(expr), n=n, max_nodes=nodes)
+        with pytest.raises(ResourceLimitError):
+            search_matching(chain(expr), n=n, max_nodes=nodes - 1)
 
 
 def test_search_node_cap():
@@ -356,6 +361,9 @@ def test_read_certificate_errors():
         read_certificate("rank 2\ncycle 1: a\n")
     with pytest.raises(ValueError):
         read_certificate("rank 2\ncycle 0: abAB\npair 0.0 0.1\n")
+    with pytest.raises(ValueError,
+                       match="^line 2: rank must be nonnegative, got -5$"):
+        read_certificate("# no cycles\nrank -5\n")
 
 
 @pytest.mark.parametrize("text, message", [
