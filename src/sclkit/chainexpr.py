@@ -17,7 +17,7 @@ from collections import namedtuple
 
 from .errors import ChainSyntaxError
 from .freegroup import (Chain, ChainTerm, Word, canonicalize, letter_from_char,
-                        letter_to_char, reduce_letters)
+                        reduce_letters)
 from .rational import QQ, qq
 
 # a number, a run of letters, a symbol, or any other non-space character
@@ -187,6 +187,4 @@ def format_chain(chain):
 
 
 def format_word(w):
-    if len(w) == 0:
-        return "1"
-    return "".join(letter_to_char(x) for x in w.letters)
+    return str(w) or "1"

@@ -13,13 +13,13 @@ surface certificates.
 One walk (_walk) makes the pieces in column order, appending each
 column's row entries and cost as it goes: the bigons, then for each real
 side s from corner a to corner b, in side order, the triangles whose
-least side is s.  First come (s, s2, .) for each real s2 > s starting at
-b, the 3-real (s, s2, s3) before the 2-real (s, s2, d(b2, a)); then
-(s, d(b, y), .) for each corner y, the 2-real (s, d(b, y), s1) for each
-real s1 > s from y to a before the 1-real (s, d(b, y), d(y, a)).  Tuples
-compare entry by entry, every real side is less than every dummy side
-and corners are numbered in sorted order, so this is the sorted order of
-the piece tuples, with each piece made once, from its least side.
+least side is s, by one rule: (s, s2, s3) for each side s2 > s from b to
+some corner z, then each side s3 > s from z back to a.  At each corner
+the real sides come in side order and then the dummy sides by end
+corner.  Tuples compare entry by entry, every real side is less than
+every dummy side and corners are numbered in sorted order, so this is the
+sorted order of the piece tuples, with each piece made once, from its
+least side.
 """
 
 import math
@@ -40,7 +40,7 @@ MAX_PIVOTS = 10 ** 6
 
 
 class Encoding(namedtuple("Encoding", "chain scale rectangles pieces "
-                                     "dummy_types lp row_meta")):
+                                     "lp row_meta")):
     """The LP of a prepared chain and the names of its rows and columns.
 
     A letter slot is (term, pos), and the corner (term, gap) after it is
@@ -55,13 +55,12 @@ class Encoding(namedtuple("Encoding", "chain scale rectangles pieces "
     real side before every dummy side, and no key is kept beside them.
     The columns are the rectangles, then the pieces, bigons before
     triangles, each in tuple order, which is the order the walk makes
-    them in (see the module docstring); the dummy rows follow dummy_types.
+    them in (see the module docstring).
 
     chain is the prepared chain (cyclic words, positive integer
     coefficients) and scale the rational multiplier that made the input
-    integral; dummy_types holds every ordered corner pair, in tuple order;
-    lp is the LinearProgram, and row_meta names each row ("cover", slot),
-    ("side", rect, which) or ("dummy", d).
+    integral; lp is the LinearProgram, and row_meta names each row
+    ("cover", slot), ("side", rect, which) or ("dummy", d).
     """
 
     __slots__ = ()
@@ -114,19 +113,18 @@ _COST = tuple(qq(k - 2, 2) for k in range(3))  # dummies/2 - 1, by dummies
 
 def _walk(chain, rectangles):
     """The pieces in column order and the LP rows they enter, made in one
-    walk: (pieces, dummy_types, row_meta, rows, objective), where rows[i]
-    lists the (column, value) entries of row i.
+    walk: (pieces, row_meta, rows, objective), where rows[i] lists the
+    (column, value) entries of row i.
 
     The rows are a cover row per letter slot, the side rows (rect, 1) and
     (rect, 2), then a row per pair of mutually reverse dummy sides, which
     the lesser enters with +1 and the other with -1 (a loop has no row).
-    Dummy (1, c1, c2) occurs in a piece iff c1 is a real side's end or c2
-    a real side's start.  In a boundary every slot p is in a rectangle,
-    so every corner starts a real side (the corner after p) and ends one
-    (the corner before p): the dummy types are all n * n ordered corner
-    pairs.  No piece enters a row twice: its real sides are distinct,
-    and its two dummy sides are reverse only if a real side ends where it
-    starts, which needs a word that is not cyclically reduced.
+    In a boundary every slot p is in a rectangle, so every corner starts
+    a real side (the corner after p) and ends one (the corner before p):
+    every ordered corner pair is a dummy side of some piece.  No piece
+    enters a row twice: its real sides are distinct, and its two dummy
+    sides are reverse only if a real side ends where it starts, which
+    needs a word that is not cyclically reduced.
     """
     corners = _slots(chain)  # the corner after each slot, in sorted order
     n, nrect = len(corners), len(rectangles)
@@ -137,76 +135,53 @@ def _walk(chain, rectangles):
     for ri, (p, q, _, _) in enumerate(rectangles):
         for r in (index[p], index[q], n + 2 * ri, n + 2 * ri + 1):
             rows[r].append((ri, _ONE))
-    # real side table: (side, start index, end index, its row), side order
-    sides = [((0, ri, which), index[a], index[b],
-              rows[n + 2 * ri + which - 1])
-             for ri, (_, _, s1, s2) in enumerate(rectangles)
-             for which, (a, b) in ((1, s1), (2, s2))]
-    starts = [[] for _ in corners]
+    # a side's entry is (side, end corner, its row, its value there); the
+    # real sides in side order, each with its start corner
+    real = [(index[a], ((0, ri, which), index[b],
+                        rows[n + 2 * ri + which - 1], _NEG))
+            for ri, (_, _, s1, s2) in enumerate(rectangles)
+            for which, (a, b) in ((1, s1), (2, s2))]
     between = [[[] for _ in corners] for _ in corners]  # by start, end
-    for side in sides:
-        starts[side[1]].append(side)
-        between[side[1]][side[2]].append(side)
-    # dummy[i][j]: the dummy side from corner i to corner j, its row and
-    # its sign there; a loop's entries go to a row that is dropped
-    types = tuple((1, c1, c2) for c1 in corners for c2 in corners)
-    dummy = [[None] * n for _ in corners]
-    loops = []
-    for i in range(n):
-        dummy[i][i] = (types[i * n + i], loops, _ONE)
+    out_of = [[] for _ in corners]  # by start
+    for a, side in real:
+        between[a][side[1]].append(side)
+        out_of[a].append(side)
+    loops = []  # a loop's entries go to this row, which is dropped
+    for i, c1 in enumerate(corners):
+        between[i][i].append(((1, c1, c1), i, loops, _ONE))
         for j in range(i + 1, n):
-            meta.append(("dummy", types[i * n + j]))
+            c2 = corners[j]
+            meta.append(("dummy", (1, c1, c2)))
             rows.append([])
-            dummy[i][j] = (types[i * n + j], rows[-1], _ONE)
-            dummy[j][i] = (types[j * n + i], rows[-1], _NEG)
+            between[i][j].append(((1, c1, c2), j, rows[-1], _ONE))
+            between[j][i].append(((1, c2, c1), i, rows[-1], _NEG))
+    for i in range(n):
+        out_of[i] += [between[i][j][-1] for j in range(n)]
     pieces = []
     objective = [_ONE] * nrect
     col = nrect
     add_piece, add_cost = pieces.append, objective.append
-    for s, a, b, row in sides:
-        for s2, _, _, row2 in between[b][a]:
+    for a, (s, b, row, _) in real:
+        for s2, _, row2, _ in between[b][a][:-1]:
             if s2 > s:
                 add_piece((s, s2))
                 row.append((col, _NEG))
                 row2.append((col, _NEG))
                 col += 1
     objective += [_COST[0]] * len(pieces)
-    for s, a, b, row in sides:
-        for s2, _, b2, row2 in starts[b]:
-            if s2 > s:
-                for s3, _, _, row3 in between[b2][a]:
-                    if s3 > s:
-                        add_piece((s, s2, s3))
-                        row.append((col, _NEG))
-                        row2.append((col, _NEG))
-                        row3.append((col, _NEG))
-                        add_cost(_COST[0])
-                        col += 1
-                d, drow, sign = dummy[b2][a]
-                add_piece((s, s2, d))
-                row.append((col, _NEG))
-                row2.append((col, _NEG))
-                drow.append((col, sign))
-                add_cost(_COST[1])
+    for a, (s, b, row, value) in real:
+        # the sides before s have left the tables, so s heads both its
+        # lists; taking it out leaves only sides greater than s there
+        del between[a][b][0], out_of[a][0]
+        for s2, z, row2, value2 in out_of[b]:
+            for s3, _, row3, value3 in between[z][a]:
+                add_piece((s, s2, s3))
+                row.append((col, value))
+                row2.append((col, value2))
+                row3.append((col, value3))
+                add_cost(_COST[s2[0] + s3[0]])
                 col += 1
-        for y in range(n):
-            d, drow, sign = dummy[b][y]
-            for s1, _, _, row1 in between[y][a]:
-                if s1 > s:
-                    add_piece((s, d, s1))
-                    row.append((col, _NEG))
-                    drow.append((col, sign))
-                    row1.append((col, _NEG))
-                    add_cost(_COST[1])
-                    col += 1
-            d2, drow2, sign2 = dummy[y][a]
-            add_piece((s, d, d2))
-            row.append((col, _NEG))
-            drow.append((col, sign))
-            drow2.append((col, sign2))
-            add_cost(_COST[2])
-            col += 1
-    return tuple(pieces), types, meta, rows, objective
+    return tuple(pieces), meta, rows, objective
 
 
 def enumerate_pieces(chain):
@@ -249,7 +224,7 @@ def build_lp(chain, max_letters=MAX_LETTERS):
     prepared, scale = prepare(chain)  # raises unless a boundary
     check_letters(sum(len(t.word) for t in prepared.terms), max_letters)
     rectangles = enumerate_rectangles(prepared)
-    pieces, dummy_types, meta, rows, objective = _walk(prepared, rectangles)
+    pieces, meta, rows, objective = _walk(prepared, rectangles)
     rhs = [qq(prepared.terms[term].coefficient)
            for term, _ in _slots(prepared)]
     rhs += [ZERO] * (len(meta) - len(rhs))
@@ -258,8 +233,7 @@ def build_lp(chain, max_letters=MAX_LETTERS):
                            tuple(rhs), tuple(objective))
     except ValueError as err:
         raise InvariantViolationError("malformed scl LP: %s" % err) from err
-    return Encoding(prepared, scale, rectangles, pieces, dummy_types, lp,
-                    tuple(meta))
+    return Encoding(prepared, scale, rectangles, pieces, lp, tuple(meta))
 
 
 # The result cache of solve_chain, least recently used first.  Its key is
@@ -348,15 +322,20 @@ def scl(chain, max_letters=MAX_LETTERS, max_pivots=MAX_PIVOTS):
 # ---------------------------------------------------------------------------
 # decoding optimal vertices into surface certificates
 
-def _pair_dummies(pieces, piece_counts):
-    """Pair off the dummy side instances (piece, copy, side): the k-th
-    instance of a dummy type in position order with the k-th of its
-    reverse.  Returns the pairing as an involution on instances.
+def _glue(pieces, rect_counts, piece_counts):
+    """Glue the side instances (piece, copy, j) of the pieces in use, in
+    one pass over them: (instances, glued, partner).  instances maps each
+    side to its instances in position order.  Copy k of a rectangle is
+    glued to the k-th instance of each of its sides, and glued maps that
+    instance to (rect, which, k); the k-th instance of a dummy side is
+    paired with the k-th of its reverse, and partner maps each to the
+    other.  A loop in use, a dummy side used more or less often than its
+    reverse, and a real side used more or less often than its rectangle
+    raise InvariantViolationError, in that order.
 
-    No optimal vertex uses a loop, a dummy (1, c, c), so a loop in use
-    raises InvariantViolationError.  Proof: let a column with a loop
-    have weight w > 0.  Real sides go from a to b with a != b, since
-    words are cyclically reduced.
+    No optimal vertex uses a loop, a dummy (1, c, c).  Proof: let a column
+    with a loop have weight w > 0.  Real sides go from a to b with a != b,
+    since words are cyclically reduced.
     - A two-real loop triangle (s, s2, d(a, a)) or (s, d(b, b), s1)
       enters the rows of its real sides, as the bigon (s, s2) or (s, s1)
       does: a loop has no row.  Moving the weight to the bigon keeps
@@ -369,53 +348,41 @@ def _pair_dummies(pieces, piece_counts):
       keeps every row and lowers the cost by min(w, v)/2.
     So the LP optimum is never reached with weight on a loop.
     """
-    instances = {}  # dummy type -> its instances in position order
+    instances = {}
     for pi, piece in enumerate(pieces):
         for copy in range(piece_counts[pi]):
             for j, s in enumerate(piece):
-                if s[0]:
-                    instances.setdefault(s, []).append((pi, copy, j))
-    partner = {}
-    for d, mine in instances.items():
-        r = (1, d[2], d[1])
-        if d == r:
-            raise InvariantViolationError("loop dummy %r in use" % (d,))
+                instances.setdefault(s, []).append((pi, copy, j))
+    glued, partner = {}, {}
+    for s, mine in instances.items():
+        if not s[0]:
+            for k, inst in enumerate(mine):
+                glued[inst] = (s[1], s[2], k)
+            continue
+        r = (1, s[2], s[1])
+        if s == r:
+            raise InvariantViolationError("loop dummy %r in use" % (s,))
         theirs = instances.get(r, [])
         if len(theirs) != len(mine):
             raise InvariantViolationError("unbalanced dummy usage")
-        if r < d:
-            continue
-        for a, b in zip(mine, theirs):
-            partner[a] = b
-            partner[b] = a
-    return partner
-
-
-def _trace_boundary(encoding, rect_counts, piece_counts, partner):
-    """Trace the boundary into circles: (circles, arc_at), where arc_at
-    maps each letter arc (rect, role, copy) to (circle, position).
-
-    Copy k of a rectangle is glued to the k-th instance of each of its
-    sides in position order.  After the arc of a copy in role p (side 1
-    starts at the corner after p, side 2 after q), the boundary goes on
-    along the real side before that side around their polygon: step back
-    one side in the piece and, while that side is a dummy, jump to its
-    partner and step back again.
-    """
-    pieces, rects = encoding.pieces, encoding.rectangles
-    glued = {}  # real side instance (piece, copy, j) -> (rect, which, copy)
-    used = {}  # real side -> its instances so far
-    for pi, piece in enumerate(pieces):
-        for copy in range(piece_counts[pi]):
-            for j, s in enumerate(piece):
-                if not s[0]:
-                    used[s] = used.get(s, 0) + 1
-                    glued[(pi, copy, j)] = (s[1], s[2], used[s] - 1)
-    if any(used.get((0, ri, which), 0) != c
+        partner.update(zip(mine, theirs))
+    if any(len(instances.get((0, ri, which), ())) != c
            for ri, c in enumerate(rect_counts) for which in (1, 2)):
         raise InvariantViolationError(
             "side usage does not match rectangle count")
-    instance = {g: pos for pos, g in glued.items()}
+    return instances, glued, partner
+
+
+def _trace_boundary(encoding, rect_counts, instances, glued, partner):
+    """Trace the boundary into circles: (circles, arc_at), where arc_at
+    maps each letter arc (rect, role, copy) to (circle, position).
+
+    After the arc of a copy in role p (side 1 starts at the corner after
+    p, side 2 after q), the boundary goes on along the real side before
+    that side around their polygon: step back one side in the piece and,
+    while that side is a dummy, jump to its partner and step back again.
+    """
+    pieces, rects = encoding.pieces, encoding.rectangles
     circles, arc_at = [], {}
     for start in [(ri, role, copy) for ri, c in enumerate(rect_counts)
                   for role in ("p", "q") for copy in range(c)]:
@@ -427,7 +394,7 @@ def _trace_boundary(encoding, rect_counts, piece_counts, partner):
             slot = rects[ri][0 if role == "p" else 1]
             arc_at[cur] = (len(circles), len(letters))
             letters.append(_letter(encoding.chain, slot))
-            pi, c, j = instance[(ri, 1 if role == "p" else 2, copy)]
+            pi, c, j = instances[(0, ri, 1 if role == "p" else 2)][copy]
             j = (j - 1) % len(pieces[pi])
             while pieces[pi][j][0]:  # a dummy side: go on through its partner
                 pi, c, j = partner[(pi, c, j)]
@@ -441,10 +408,11 @@ def _trace_boundary(encoding, rect_counts, piece_counts, partner):
 def decode_certificate(encoding, result):
     """Assemble an optimal LP vertex into an explicit surface.
 
-    The vertex is scaled to integer piece and rectangle counts, each
-    dummy side instance is paired with one of the reverse type, and the
-    boundary is traced into circles by walking back from each glued side
-    to the previous real side of its polygon.  The rectangles become the
+    The vertex is scaled to integer piece and rectangle counts, the side
+    instances are glued in one pass (each real one to a rectangle copy,
+    each dummy one to an instance of its reverse), and the boundary is
+    traced into circles by walking back from each glued side to the
+    previous real side of its polygon.  The rectangles become the
     bands of a band surface over the circles, which surfcert checks: its
     chi (counted by corner orbits) must equal the pieces' chi and the LP
     optimum, and its boundary must be N times the encoded chain, where N
@@ -454,9 +422,10 @@ def decode_certificate(encoding, result):
     counts = [w.numerator * n // w.denominator for w in result.primal]
     nrect = len(encoding.rectangles)
     rect_counts, piece_counts = counts[:nrect], counts[nrect:]
-    partner = _pair_dummies(encoding.pieces, piece_counts)
-    circles, arc_at = _trace_boundary(encoding, rect_counts, piece_counts,
-                                      partner)
+    instances, glued, partner = _glue(encoding.pieces, rect_counts,
+                                      piece_counts)
+    circles, arc_at = _trace_boundary(encoding, rect_counts, instances,
+                                      glued, partner)
     # each rectangle copy is a band joining its p-arc to its q-arc
     system = surfcert.ArcSystem(tuple(circles), encoding.chain.rank)
     bands = surfcert.certificate_from_matching(surfcert.matching(

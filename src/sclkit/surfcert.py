@@ -94,34 +94,22 @@ def _pred(system, arc):
     return (i, (j - 1) % len(system.cycles[i]))
 
 
-def _corner_orbits(m):
-    """Orbits of the corner permutation.
+def euler_characteristic(m):
+    """chi of the band surface: polygons minus bands.
 
-    The corner after arc a is sent to the corner after the predecessor
-    of a's partner: crossing a's band lands just before the partner arc.
+    The polygons are the orbits of the corner permutation: the corner
+    after arc a is sent to the corner after the predecessor of a's
+    partner, since crossing a's band lands just before the partner arc.
     """
     partner = m.partner()
-    sigma = {}
+    seen, orbits = set(), 0
     for a in m.system.arcs():
-        sigma[a] = _pred(m.system, partner[a])
-    orbits = []
-    seen = set()
-    for a in sorted(sigma):
-        if a in seen:
-            continue
-        orbit = []
-        cur = a
-        while cur not in seen:
-            seen.add(cur)
-            orbit.append(cur)
-            cur = sigma[cur]
-        orbits.append(orbit)
-    return orbits
-
-
-def euler_characteristic(m):
-    """chi of the band surface: polygons minus bands."""
-    return len(_corner_orbits(m)) - len(m.pairs)
+        if a not in seen:
+            orbits += 1
+            while a not in seen:
+                seen.add(a)
+                a = _pred(m.system, partner[a])
+    return orbits - len(m.pairs)
 
 
 class SurfaceCertificate(namedtuple("SurfaceCertificate",

@@ -4,8 +4,8 @@ This is the straightforward encoder that build_lp replaced.  It scans
 every pair of letter slots for rectangles, tries every rotation of each
 piece for the least one, and fills each side and dummy row by looking
 every piece up in turn, so it is quadratic in the chain length.
-build_lp must return an equal (==) Encoding: the same LP, rows, pieces
-and dummy types, in the same order.
+build_lp must return an equal (==) Encoding: the same LP, rows and
+pieces, in the same order.
 """
 
 from sclkit.errors import InvariantViolationError, ResourceLimitError
@@ -174,5 +174,4 @@ def build_lp(chain, max_letters=24):
         tuple(tuple(sorted(e.items())) for e in rows),
         tuple(rhs),
         tuple(objective))
-    return Encoding(prepared, scale, rectangles, pieces, tuple(dummy_types),
-                    lp, tuple(meta))
+    return Encoding(prepared, scale, rectangles, pieces, lp, tuple(meta))

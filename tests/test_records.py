@@ -47,8 +47,7 @@ FIELDS = {
     "ChainExpression": ("source", "chain"),
     "LinearProgram": ("num_vars", "rows", "rhs", "objective"),
     "LPResult": ("status", "value", "primal", "dual", "pivots"),
-    "Encoding": ("chain", "scale", "rectangles", "pieces", "dummy_types",
-                 "lp", "row_meta"),
+    "Encoding": ("chain", "scale", "rectangles", "pieces", "lp", "row_meta"),
     "PTRep": ("rank", "matrices"),
     "ArcSystem": ("cycles", "rank"),
     "Matching": ("system", "pairs"),

@@ -128,9 +128,9 @@ def test_build_lp_matches_oracle():
 
 
 def test_dummy_types_come_from_side_corners():
-    # build_lp takes every ordered corner pair as a dummy type; in a
-    # boundary they must be exactly the dummy sides that occur in pieces,
-    # each with its reverse, and the dummy rows one per reverse pair
+    # in a boundary the dummy sides that occur in pieces are exactly the
+    # n * n ordered corner pairs, each with its reverse, and the dummy
+    # rows are one per reverse pair, in tuple order
     rng = seeded(2718)
     cases = [chain(expr) for expr, _ in SCL_CORPUS]
     cases += [random_multi_term_chain(rng, rank, 4, 16)
@@ -140,13 +140,14 @@ def test_dummy_types_come_from_side_corners():
         if c.is_empty():
             continue
         enc = build_lp(c)
-        n = sum(len(t.word) for t in enc.chain.terms)
-        assert len(enc.dummy_types) == n * n, c
+        corners = [(i, j) for i, t in enumerate(enc.chain.terms)
+                   for j in range(len(t.word))]
         used = {s for p in enc.pieces for s in p if s[0]}
-        assert enc.dummy_types == tuple(sorted(used)), c
+        types = sorted(used)
+        assert types == [(1, c1, c2) for c1 in corners for c2 in corners], c
         assert all((1, d[2], d[1]) in used for d in used), c
         assert [m[1] for m in enc.row_meta if m[0] == "dummy"] == [
-            d for d in enc.dummy_types if d[1] < d[2]], c
+            d for d in types if d[1] < d[2]], c
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -385,7 +386,7 @@ def test_decode_certificate_rejects_tampered_result():
     with pytest.raises(InvariantViolationError):
         decode_certificate(enc, res._replace(value=res.value / 2))
     # one copy of a triangle whose only dummy side is a loop: no optimal
-    # vertex uses a loop (see _pair_dummies), so decoding stops at it
+    # vertex uses a loop (see _glue), so decoding stops at it
     nrect = len(enc.rectangles)
     col = next(col for col, p in enumerate(enc.pieces, nrect)
                if [d[1] == d[2] for d in p if d[0]] == [True])
@@ -408,6 +409,18 @@ def test_decode_certificate_rejects_tampered_result():
     primal[col] += 1
     with pytest.raises(InvariantViolationError, match="unbalanced"):
         decode_certificate(enc, res._replace(primal=tuple(primal)))
+
+
+def test_decode_certificate_rejects_extra_rectangle():
+    # one more copy of rectangle 0 leaves its sides short of instances;
+    # the dummy checks pass, so decoding stops at the side count
+    for expr in ("abAB", "2*abAB + ab - a - b"):
+        enc, res = solve_chain(parse_chain(expr).chain)
+        primal = list(res.primal)
+        primal[0] += 1
+        with pytest.raises(InvariantViolationError,
+                           match="side usage does not match rectangle count"):
+            decode_certificate(enc, res._replace(primal=tuple(primal)))
 
 
 def test_homogeneity_random():
