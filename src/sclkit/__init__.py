@@ -12,13 +12,13 @@ from .errors import (ChainSyntaxError, InvariantViolationError,
                      NotBoundaryError, RankMismatchError,
                      ResourceLimitError, SclError)
 from .freegroup import (Chain, ChainTerm, Word, add_chains, canonicalize,
-                        chain_of, chains_equal, concat, invert, invert_chain,
-                        make_word, scale_chain, single_chain, with_rank, word)
+                        chain_of, concat, invert, make_word, scale_chain,
+                        single_chain, with_rank, word)
 from .chainexpr import format_chain, format_word, parse_chain, parse_word
 from .sclenc import build_lp, decode_certificate, scl, solve_chain
 from .rotation import (PTRep, punctured_torus_rep, rot, rot_element,
                        turning_number, turning_number_chain)
-from .surfcert import (ArcSystem, Matching, SurfaceCertificate, arc_system,
+from .surfcert import (ArcSystem, Matching, SurfaceCertificate,
                        boundary_chain, certificate_from_matching,
                        euler_characteristic, extremality_ratio, matching,
                        read_certificate, search_matching,

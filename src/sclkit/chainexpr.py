@@ -18,7 +18,7 @@ from collections import namedtuple
 from .errors import ChainSyntaxError
 from .freegroup import (Chain, ChainTerm, Word, canonicalize, letter_from_char,
                         reduce_letters)
-from .rational import QQ, qq
+from .rational import QQ
 
 # a number, a run of letters, a symbol, or any other non-space character
 _TOKEN = re.compile(r"(\d+)|([a-zA-Z]+)|([-+*/\[\],^])|(\S)")
@@ -80,7 +80,7 @@ class _Parser:
 
     def term(self, sign):
         """term := [coeff ['*']] factor+, after an optional sign token."""
-        coeff = qq(-1 if sign and sign[0] == "-" else 1)
+        coeff = QQ(-1 if sign and sign[0] == "-" else 1)
         num = self.take("num")
         if num is not None:
             den = 1
@@ -147,7 +147,7 @@ def parse_chain(text, min_rank=1):
     return ChainExpression(text, canonicalize(Chain(tuple(terms), rank)))
 
 
-def parse_word(text, min_rank=1):
+def parse_word(text):
     """Parse a single word expression (letters, brackets, powers); the
     word is freely reduced but not cyclically normalized."""
     parser = _Parser(text, "word")
@@ -155,12 +155,11 @@ def parse_word(text, min_rank=1):
     tok = parser.peek()
     if tok[0] != "end":
         _fail("unexpected token in word expression", tok)
-    rank = max(min_rank, max((abs(x) for x in letters), default=1))
+    rank = max((abs(x) for x in letters), default=1)
     return Word(reduce_letters(letters), rank)
 
 
 def format_coefficient(c):
-    c = qq(c)
     if c.denominator == 1:
         return "%d" % c.numerator
     return "%d/%d" % (c.numerator, c.denominator)
@@ -169,11 +168,10 @@ def format_coefficient(c):
 def format_chain(chain):
     """Deterministic text form.  The text only records the letters that
     occur, so the round trip is parse_chain(format_chain(C),
-    min_rank=C.rank) == C for canonical C of rank <= 26."""
+    min_rank=C.rank) == C for canonical C spelled in a..z; a letter past
+    z raises ValueError (see letter_to_char)."""
     if not chain.terms:
         return "0"
-    if chain.rank > 26:
-        raise ValueError("cannot format words beyond generator 'z'")
     parts = []
     for idx, t in enumerate(chain.terms):
         mag = abs(t.coefficient)

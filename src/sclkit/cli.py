@@ -20,7 +20,7 @@ from .chainexpr import format_chain, format_word, parse_chain, parse_word
 from .errors import (InvariantViolationError, NotBoundaryError,
                      ResourceLimitError, SclError)
 from .freegroup import prepare
-from .rational import fmt, qq
+from .rational import QQ, fmt
 
 SOFT_BUDGET_SECONDS = 60.0
 
@@ -55,14 +55,14 @@ def _criterion_fields(report):
         "chain": format_chain(report.chain),
         "scl": fmt(report.scl),
         "rot": fmt(report.rot),
-        "rot_half": fmt(qq(report.rot) / 2),
+        "rot_half": fmt(report.rot / 2),
         "bounds_immersed": report.bounds_immersed,
     }
 
 
 def _criterion_line(report):
     return "scl = %s, rot/2 = %s, bounds_immersed = %s" % (
-        fmt(report.scl), fmt(qq(report.rot) / 2), _bool(report.bounds_immersed))
+        fmt(report.scl), fmt(report.rot / 2), _bool(report.bounds_immersed))
 
 
 def _parse_n_range(text):
@@ -99,15 +99,15 @@ def _cmd_scl(args):
 
 
 def _cmd_rot(args):
-    ce = parse_chain(args.chain, min_rank=2)
+    ce = parse_chain(args.chain)
     record = {"input": args.chain, "chain": format_chain(ce.chain),
               "method": args.method}
     lines = []
     if args.method in ("dynamical", "both"):
-        dyn = qq(rotation.rot(ce.chain))
+        dyn = rotation.rot(ce.chain)
         record["dynamical"] = fmt(dyn)
     if args.method in ("turning", "both"):
-        turn = qq(rotation.turning_number_chain(ce.chain))
+        turn = rotation.turning_number_chain(ce.chain)
         record["turning"] = fmt(turn)
     if args.method == "both":
         if dyn != turn:
@@ -124,7 +124,7 @@ def _cmd_rot(args):
 
 
 def _cmd_immersed(args):
-    ce = parse_chain(args.chain, min_rank=2)
+    ce = parse_chain(args.chain)
     report = immersion.bounds_immersed(ce.chain, **_limits(args))
     record = {"input": args.chain, "on_face": report.bounds_immersed,
               **_criterion_fields(report)}
@@ -132,7 +132,7 @@ def _cmd_immersed(args):
 
 
 def _cmd_stabilize(args):
-    ce = parse_chain(args.chain, min_rank=2)
+    ce = parse_chain(args.chain)
     st = immersion.minimal_stabilization(ce.chain, args.max_R,
                                          **_limits(args))
     rows, lines = _table("R", enumerate(st.table))
@@ -148,7 +148,7 @@ def _cmd_stabilize(args):
 
 
 def _cmd_scan(args):
-    w = parse_word(args.w, min_rank=2)
+    w = parse_word(args.w)
     ns = _parse_n_range(args.n_range)
     sc = immersion.scan_conjecture(w, ns, **_limits(args))
     rows, lines = _table("n", sc.entries)
@@ -167,7 +167,7 @@ def _cmd_scan(args):
 
 
 def _cmd_corollary(args):
-    w = parse_word(args.w, min_rank=2)
+    w = parse_word(args.w)
     lhs, rhs, equal = immersion.corollary_check(w, args.n, **_limits(args))
     record = {"w": format_word(w), "n": args.n, "lhs": fmt(lhs),
               "rhs": fmt(rhs), "equal": equal}
@@ -212,7 +212,7 @@ def _cmd_matchbound(args):
         raise ResourceLimitError(
             "matching search has %d arcs, cap is %d" % (arcs, args.max_letters))
     cert, m = surfcert.search_matching(ce.chain, n=args.degree)
-    bound = qq(-cert.chi, 2 * args.degree * scale)
+    bound = QQ(-cert.chi, 2 * args.degree * scale)
     record = {"input": args.chain, "chain": format_chain(ce.chain),
               "degree": args.degree, "chi": cert.chi, "bound": fmt(bound)}
     lines = ["bound = %s (chi = %d, degree = %d)" % (fmt(bound), cert.chi,
@@ -266,7 +266,8 @@ def _parser():
                        help="criterion table for the family w*(abAB)^n")
     p.add_argument("--w", required=True)
     p.add_argument("--n-range", required=True, dest="n_range",
-                   help="N or LO..HI (inclusive)")
+                   help="N or LO..HI (inclusive); write a negative LO "
+                        "as --n-range=LO..HI")
     p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("corollary", parents=[common],

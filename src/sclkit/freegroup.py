@@ -12,7 +12,7 @@ inverse classes).
 from collections import namedtuple
 
 from .errors import NotBoundaryError, RankMismatchError
-from .rational import denominator_lcm, qq
+from .rational import QQ, ZERO, denominator_lcm
 
 
 # ---------------------------------------------------------------------------
@@ -178,28 +178,27 @@ def _least_rotation(keys):
     """Start of the lexicographically least rotation of a sequence (the
     first start, when several rotations are equal).
 
-    Booth's algorithm (1980): a Knuth-Morris-Pratt failure function over
-    the doubled sequence, in which a mismatch against a smaller element
-    moves the candidate start k forward; O(n) comparisons in all.
+    Two candidate starts i < j are compared letter by letter.  At the
+    first mismatch, at offset k, the start with the larger letter loses,
+    and so do the k starts after it: the rotation at loser + t is larger
+    than the one at winner + t, for t <= k.  Every start below j other
+    than i has lost, so when j runs off the end, or the two rotations
+    agree for a full period, i is the answer; O(n) comparisons.
     """
     n = len(keys)
-    s = keys + keys
-    fail = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if i == -1 and sj != s[k]:
-            if sj < s[k]:
-                k = j
-            fail[j - k] = -1
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = keys[(i + k) % n], keys[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i = max(j, i + k + 1)
+            j = i + 1
         else:
-            fail[j - k] = i + 1
-    return k
+            j += k + 1
+        k = 0
+    return i
 
 
 def class_rep(w):
@@ -211,9 +210,9 @@ def class_rep(w):
     rotation sets never meet (no free-group element is conjugate to its
     own inverse), so the sign is well defined.
 
-    Linear time: Booth's least-rotation scan (see _least_rotation) runs
-    once over the integer letter keys of w and once over those of its
-    inverse, and the smaller of the two rotations wins.
+    Linear time: the least-rotation scan (see _least_rotation) runs once
+    over the integer letter keys of w and once over those of its inverse,
+    and the smaller of the two rotations wins.
     """
     if not is_cyclically_reduced(w):
         raise ValueError("class_rep requires a cyclically reduced word")
@@ -240,10 +239,6 @@ class ChainTerm(namedtuple("ChainTerm", "coefficient word")):
     __slots__ = ()
 
 
-def chain_term(coefficient, w):
-    return ChainTerm(qq(coefficient), w)
-
-
 class Chain(namedtuple("Chain", "terms rank")):
     """A formal rational sum of words, all of the same rank: terms is a
     tuple of ChainTerm."""
@@ -264,11 +259,11 @@ class Chain(namedtuple("Chain", "terms rank")):
 
 def chain_of(pairs, rank):
     """Chain from (coefficient, word) pairs."""
-    return Chain(tuple(chain_term(c, w) for c, w in pairs), rank)
+    return Chain(tuple(ChainTerm(QQ(c), w) for c, w in pairs), rank)
 
 
-def single_chain(w, coefficient=1):
-    return chain_of([(coefficient, w)], w.rank)
+def single_chain(w):
+    return chain_of([(1, w)], w.rank)
 
 
 def add_chains(a, b):
@@ -279,16 +274,10 @@ def add_chains(a, b):
 
 
 def scale_chain(chain, k):
-    k = qq(k)
+    k = QQ(k)
     if k == 0:
         return Chain((), chain.rank)
     return Chain(tuple(ChainTerm(t.coefficient * k, t.word) for t in chain.terms),
-                 chain.rank)
-
-
-def invert_chain(chain):
-    """Orientation reversal: every word replaced by its inverse."""
-    return Chain(tuple(ChainTerm(t.coefficient, invert(t.word)) for t in chain.terms),
                  chain.rank)
 
 
@@ -317,22 +306,17 @@ def canonicalize(chain):
             continue
         root, k = _cyclic_root(core)
         rep, sign = class_rep(root)
-        buckets[rep] = buckets.get(rep, qq(0)) + t.coefficient * k * sign
+        buckets[rep] = buckets.get(rep, ZERO) + t.coefficient * k * sign
     terms = [ChainTerm(c, w) for w, c in buckets.items() if c != 0]
     terms.sort(key=lambda t: (len(t.word), word_key(t.word)))
     return Chain(tuple(terms), chain.rank)
-
-
-def chains_equal(a, b):
-    """Equality in the normal form (same rank, same canonical terms)."""
-    return a.rank == b.rank and canonicalize(a).terms == canonicalize(b).terms
 
 
 def require_boundary(chain):
     """Raise NotBoundaryError unless the chain is homologically trivial;
     returns the exponent vector of each term, in order."""
     exponents = tuple(word_exponents(t.word) for t in chain.terms)
-    total = [qq(0)] * chain.rank
+    total = [ZERO] * chain.rank
     for t, vector in zip(chain.terms, exponents):
         for g, e in enumerate(vector):
             total[g] += t.coefficient * e
@@ -364,4 +348,4 @@ def prepare(chain):
         if c < 0:
             c, w = -c, invert(w)
         terms.append(ChainTerm(c, w))
-    return Chain(tuple(terms), chain.rank), qq(scale)
+    return Chain(tuple(terms), chain.rank), QQ(scale)

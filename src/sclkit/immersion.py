@@ -17,7 +17,7 @@ from .errors import InvariantViolationError, NotBoundaryError, RankMismatchError
 from .freegroup import (Chain, ChainTerm, add_chains, canonicalize, concat,
                         invert, make_word, scale_chain, single_chain,
                         with_rank, word, word_exponents, word_power)
-from .rational import qq
+from .rational import QQ
 
 # boundary class of the once-punctured torus; all stabilization is by
 # integer multiples of this chain
@@ -83,7 +83,7 @@ def bounds_immersed(chain, **limits):
     """
     canon = canonicalize(_as_rank2(chain))
     s = sclenc.scl(canon, **limits)
-    r = qq(rotation.rot(canon))
+    r = rotation.rot(canon)
     if 2 * s < abs(r):
         raise InvariantViolationError(
             "scl = %s below the rotation bound %s/2" % (s, r))
@@ -160,5 +160,5 @@ def corollary_check(w, n, **limits):
                       c, with_rank(w, 3), invert(c))
     lhs = sclenc.scl(single_chain(inserted), **limits)
     r = rotation.rot(single_chain(w))
-    rhs = qq(abs(n + r) + 1, 2)
+    rhs = QQ(abs(n + r) + 1, 2)
     return lhs, rhs, lhs == rhs

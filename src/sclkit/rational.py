@@ -11,13 +11,6 @@ ZERO = QQ(0)
 ONE = QQ(1)
 
 
-def qq(value, denom=None):
-    """Coerce ints, rationals, or "p/q" strings to an exact rational."""
-    if denom is not None:
-        return QQ(value, denom)
-    return QQ(value)
-
-
 def fmt(value):
     """Render a rational as "p/q" with an explicit positive denominator."""
     v = QQ(value)

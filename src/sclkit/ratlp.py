@@ -69,7 +69,7 @@ import math
 from collections import namedtuple
 
 from .errors import ResourceLimitError
-from .rational import QQ, ZERO, denominator_lcm, qq
+from .rational import QQ, ZERO, denominator_lcm
 
 # consecutive degenerate pivots tolerated before switching to Bland's rule
 _STALL_LIMIT = 60
@@ -114,13 +114,6 @@ class LPResult(namedtuple("LPResult", "status value primal dual pivots")):
     are None; pivots counts the simplex pivots."""
 
     __slots__ = ()
-
-
-def linear_program(num_vars, rows, rhs, objective):
-    """Convenience constructor coercing entries to exact rationals."""
-    rows_q = tuple(tuple((c, qq(v)) for c, v in row) for row in rows)
-    return LinearProgram(num_vars, rows_q, tuple(qq(v) for v in rhs),
-                         tuple(qq(v) for v in objective))
 
 
 def _reduce(row, rhs, den):

@@ -28,7 +28,7 @@ from collections import namedtuple
 from .errors import (InvariantViolationError, NotBoundaryError,
                      RankMismatchError)
 from .freegroup import cyclic_core, require_boundary, word, word_exponents
-from .rational import qq
+from .rational import ZERO
 
 
 class PTRep(namedtuple("PTRep", "rank matrices")):
@@ -101,7 +101,7 @@ def rot(chain):
     punctured torus holonomy."""
     rep = punctured_torus_rep()
     require_boundary(chain)
-    total = qq(0)
+    total = ZERO
     for term in chain.terms:
         total += term.coefficient * rot_element(rep, term.word)
     return total
@@ -143,7 +143,7 @@ def _turning_number(w, exponents):
 def turning_number_chain(chain):
     """Term-by-term turning number; every term must close on its own."""
     exponents = require_boundary(chain)
-    total = qq(0)
+    total = ZERO
     for term, vector in zip(chain.terms, exponents):
         total += term.coefficient * _turning_number(term.word, vector)
     return total

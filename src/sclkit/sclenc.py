@@ -29,7 +29,7 @@ from . import surfcert
 from .errors import InvariantViolationError, ResourceLimitError
 from .freegroup import (Word, canonicalize, is_cyclically_reduced,
                         prepare, scale_chain)
-from .rational import ZERO, denominator_lcm, qq
+from .rational import QQ, ZERO, denominator_lcm
 from .ratlp import LinearProgram, solve_min, verify
 
 
@@ -107,8 +107,8 @@ def enumerate_rectangles(chain):
 
 
 # the few exact values that LP entries and piece costs take
-_ONE, _NEG = qq(1), qq(-1)
-_COST = tuple(qq(k - 2, 2) for k in range(3))  # dummies/2 - 1, by dummies
+_ONE, _NEG = QQ(1), QQ(-1)
+_COST = tuple(QQ(k - 2, 2) for k in range(3))  # dummies/2 - 1, by dummies
 
 
 def _walk(chain, rectangles):
@@ -225,7 +225,7 @@ def build_lp(chain, max_letters=MAX_LETTERS):
     check_letters(sum(len(t.word) for t in prepared.terms), max_letters)
     rectangles = enumerate_rectangles(prepared)
     pieces, meta, rows, objective = _walk(prepared, rectangles)
-    rhs = [qq(prepared.terms[term].coefficient)
+    rhs = [QQ(prepared.terms[term].coefficient)
            for term, _ in _slots(prepared)]
     rhs += [ZERO] * (len(meta) - len(rhs))
     try:
@@ -286,7 +286,7 @@ def solve_chain(chain, max_letters=MAX_LETTERS, max_pivots=MAX_PIVOTS):
         return None, None
     enc = build_lp(cchain, max_letters=max_letters)
     g = math.gcd(*(t.coefficient.numerator for t in enc.chain.terms))
-    key = scale_chain(enc.chain, qq(1, g))
+    key = scale_chain(enc.chain, QQ(1, g))
     cached = _scl_cache.get(key)
     if cached is not None:
         if cached.pivots > max_pivots:
@@ -304,7 +304,7 @@ def solve_chain(chain, max_letters=MAX_LETTERS, max_pivots=MAX_PIVOTS):
         raise InvariantViolationError("LP duality certificate failed")
     if result.value < 0:
         raise InvariantViolationError("scl encoding produced a negative optimum")
-    _scl_cache[key] = _scaled(result, qq(1, g))
+    _scl_cache[key] = _scaled(result, QQ(1, g))
     if len(_scl_cache) > _SCL_CACHE_SIZE:
         _scl_cache.popitem(last=False)
     return enc, result
@@ -441,6 +441,6 @@ def decode_certificate(encoding, result):
         raise InvariantViolationError(
             "band surface chi %d disagrees with formula chi %d"
             % (bands.chi, chi_formula))
-    if -qq(chi_formula) != qq(n) * result.value:
+    if -QQ(chi_formula) != QQ(n) * result.value:
         raise InvariantViolationError("chi does not match the LP optimum")
     return bands._replace(degree=n)

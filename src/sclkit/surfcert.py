@@ -15,7 +15,7 @@ from .chainexpr import format_chain, parse_chain
 from .errors import InvariantViolationError, ResourceLimitError
 from .freegroup import (Chain, ChainTerm, Word, canonicalize, letter_to_char,
                         prepare, scale_chain, word)
-from .rational import ONE, qq
+from .rational import ONE, QQ
 
 
 class ArcSystem(namedtuple("ArcSystem", "cycles rank")):
@@ -38,18 +38,6 @@ class ArcSystem(namedtuple("ArcSystem", "cycles rank")):
 
     def letter(self, arc):
         return self.cycles[arc[0]].letters[arc[1]]
-
-
-def arc_system(cycle_words, rank=None):
-    """Build an ArcSystem from words or strings."""
-    cycles = []
-    for w in cycle_words:
-        cycles.append(w if isinstance(w, Word) else word(w, rank))
-    if rank is None:
-        rank = max((w.rank for w in cycles), default=1)
-    cycles = tuple(Word(w.letters, rank) if w.rank != rank else w
-                   for w in cycles)
-    return ArcSystem(cycles, rank)
 
 
 class Matching(namedtuple("Matching", "system pairs")):
@@ -151,7 +139,7 @@ def extremality_ratio(certificate, chain):
     if (mult <= 0 or boundary.rank != target.rank
             or boundary.terms != scale_chain(target, mult).terms):
         raise ValueError("certificate boundary is not a multiple of the chain")
-    return -qq(certificate.chi) / (2 * mult)
+    return -QQ(certificate.chi) / (2 * mult)
 
 
 # the default node cap of the matching search

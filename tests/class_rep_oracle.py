@@ -13,7 +13,7 @@ canonical chain, terms in the same order.
 
 from sclkit.freegroup import (Chain, ChainTerm, Word, cyclic_core, invert,
                               is_cyclically_reduced)
-from sclkit.rational import qq
+from sclkit.rational import QQ
 
 
 def letter_key(letter):
@@ -60,7 +60,7 @@ def canonicalize(chain):
             continue
         root, k = primitive_root(core)
         rep, sign = class_rep(root)
-        buckets[rep] = buckets.get(rep, qq(0)) + t.coefficient * k * sign
+        buckets[rep] = buckets.get(rep, QQ(0)) + t.coefficient * k * sign
     terms = [ChainTerm(c, w) for w, c in buckets.items() if c != 0]
     terms.sort(key=lambda t: (len(t.word), word_key(t.word)))
     return Chain(tuple(terms), chain.rank)

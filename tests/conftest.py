@@ -1,5 +1,6 @@
-"""Shared pinned values, seeded random chain generators, the rotation
-defect probe and the environment of a child sclkit process."""
+"""Shared pinned values, seeded random chain generators, constructors
+that coerce plain values to records, the rotation defect probe and the
+environment of a child sclkit process."""
 
 import os
 import random
@@ -7,22 +8,24 @@ import random
 import sclkit
 from sclkit.chainexpr import parse_chain
 from sclkit.errors import InvariantViolationError
-from sclkit.freegroup import (add_chains, canonicalize, chain_of, concat,
-                              invert, make_word, single_chain)
-from sclkit.rational import qq
+from sclkit.freegroup import (Word, add_chains, canonicalize, chain_of,
+                              concat, invert, make_word, single_chain, word)
+from sclkit.rational import QQ
+from sclkit.ratlp import LinearProgram
 from sclkit.rotation import punctured_torus_rep, rot_element
+from sclkit.surfcert import ArcSystem
 
 # chains with exactly known scl, reused across the suite
 SCL_CORPUS = (
-    ("[a,b]", qq(1, 2)),
-    ("2*[a,b] + ab - a - b", qq(1)),
-    ("2*[a,b] - ab + a + b", qq(1)),
-    ("a + b + BA", qq(1, 2)),
-    ("abABAbaB", qq(1, 2)),
-    ("c + CBAba", qq(1)),
-    ("[a,b] + [c,d]", qq(1)),
-    ("abABcabABC", qq(3, 2)),
-    ("a + A", qq(0)),
+    ("[a,b]", QQ(1, 2)),
+    ("2*[a,b] + ab - a - b", QQ(1)),
+    ("2*[a,b] - ab + a + b", QQ(1)),
+    ("a + b + BA", QQ(1, 2)),
+    ("abABAbaB", QQ(1, 2)),
+    ("c + CBAba", QQ(1)),
+    ("[a,b] + [c,d]", QQ(1)),
+    ("abABcabABC", QQ(3, 2)),
+    ("a + A", QQ(0)),
 )
 
 # the rank-2 entries (immersion and rotation apply only to these)
@@ -39,6 +42,23 @@ COMMUTATOR_WORDS = (
 
 def chain(expr, min_rank=1):
     return parse_chain(expr, min_rank=min_rank).chain
+
+
+def linear_program(num_vars, rows, rhs, objective):
+    """A LinearProgram with its entries coerced to exact rationals."""
+    rows_q = tuple(tuple((c, QQ(v)) for c, v in row) for row in rows)
+    return LinearProgram(num_vars, rows_q, tuple(QQ(v) for v in rhs),
+                         tuple(QQ(v) for v in objective))
+
+
+def arc_system(cycle_words, rank=None):
+    """An ArcSystem from words or letter strings, all lifted to one rank
+    (the largest, unless given)."""
+    cycles = [w if isinstance(w, Word) else word(w, rank)
+              for w in cycle_words]
+    if rank is None:
+        rank = max((w.rank for w in cycles), default=1)
+    return ArcSystem(tuple(Word(w.letters, rank) for w in cycles), rank)
 
 
 def random_word(rng, rank, max_len):

@@ -10,7 +10,7 @@ pieces, in the same order.
 
 from sclkit.errors import InvariantViolationError, ResourceLimitError
 from sclkit.freegroup import prepare
-from sclkit.rational import ZERO, qq
+from sclkit.rational import QQ, ZERO
 from sclkit.ratlp import LinearProgram
 from sclkit.sclenc import Encoding
 
@@ -132,9 +132,9 @@ def build_lp(chain, max_letters=24):
         entries = {}
         for ri, (p, q, _, _) in enumerate(rectangles):
             if p == slot or q == slot:
-                entries[ri] = qq(1)
+                entries[ri] = QQ(1)
         rows.append(entries)
-        rhs.append(qq(prepared.terms[slot[0]].coefficient))
+        rhs.append(QQ(prepared.terms[slot[0]].coefficient))
         meta.append(("cover", slot))
     usage = []
     for p in pieces:
@@ -145,10 +145,10 @@ def build_lp(chain, max_letters=24):
     for ri in range(len(rectangles)):
         for which in (1, 2):
             side = _real(ri, which)
-            entries = {ri: qq(1)}
+            entries = {ri: QQ(1)}
             for pi, u in enumerate(usage):
                 if side in u:
-                    entries[len(rectangles) + pi] = qq(-u[side])
+                    entries[len(rectangles) + pi] = QQ(-u[side])
             rows.append(entries)
             rhs.append(ZERO)
             meta.append(("side", ri, which))
@@ -160,14 +160,14 @@ def build_lp(chain, max_letters=24):
         for pi, u in enumerate(usage):
             net = u.get(d, 0) - u.get(r, 0)
             if net != 0:
-                entries[len(rectangles) + pi] = qq(net)
+                entries[len(rectangles) + pi] = QQ(net)
         rows.append(entries)
         rhs.append(ZERO)
         meta.append(("dummy", d))
 
-    objective = [qq(1)] * len(rectangles)
+    objective = [QQ(1)] * len(rectangles)
     for p in pieces:
-        objective.append(qq(sum(map(_is_dummy, p)) - 2, 2))
+        objective.append(QQ(sum(map(_is_dummy, p)) - 2, 2))
 
     lp = LinearProgram(
         ncols,

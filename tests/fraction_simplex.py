@@ -11,7 +11,7 @@ for the integer sclkit.ratlp.verify.
 """
 
 from sclkit.errors import ResourceLimitError
-from sclkit.rational import ZERO, qq
+from sclkit.rational import QQ, ZERO
 from sclkit.ratlp import _STALL_LIMIT, LPResult
 
 
@@ -46,7 +46,7 @@ class _Tableau:
             sign = 1 if lp.rhs[i] >= 0 else -1
             self.signs.append(sign)
             d = {col: sign * v for col, v in row}
-            d[self.n + i] = qq(1)  # artificial column
+            d[self.n + i] = QQ(1)  # artificial column
             self.rows.append(d)
             self.rhs.append(sign * lp.rhs[i])
             self.basis.append(self.n + i)
@@ -61,7 +61,7 @@ class _Tableau:
             for c in row:
                 row[c] *= inv
             self.rhs[r] *= inv
-        row[col] = qq(1)
+        row[col] = QQ(1)
         for i in range(self.m):
             if i == r or self.dead[i]:
                 continue
@@ -136,7 +136,7 @@ class _Tableau:
         cost = {}
         for i in range(self.m):
             if self.basis[i] >= self.n:
-                _axpy(cost, qq(1), self.rows[i])
+                _axpy(cost, QQ(1), self.rows[i])
         for i in range(self.m):
             cost.pop(self.n + i, None)
         self.cost = cost

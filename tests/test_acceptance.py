@@ -10,16 +10,16 @@ from sclkit.freegroup import add_chains, canonicalize, scale_chain, word
 from sclkit.immersion import (bounds_immersed, corollary_check,
                               minimal_stabilization)
 from sclkit.ratlp import solve_min, verify
-from sclkit.rational import qq
+from sclkit.rational import QQ
 from sclkit.rotation import (punctured_torus_rep, rot, rot_element,
                              turning_number)
 from sclkit.sclenc import decode_certificate, prepare, scl, solve_chain
-from sclkit.surfcert import (arc_system, certificate_from_matching,
-                             extremality_ratio, search_matching,
-                             search_matching_arcs)
+from sclkit.surfcert import (certificate_from_matching, extremality_ratio,
+                             search_matching, search_matching_arcs)
 
-from conftest import (COMMUTATOR_WORDS, RANK2_CORPUS, SCL_CORPUS, chain,
-                      defect_probe, random_trivial_chain, seeded)
+from conftest import (COMMUTATOR_WORDS, RANK2_CORPUS, SCL_CORPUS,
+                      arc_system, chain, defect_probe, random_trivial_chain,
+                      seeded)
 
 
 def fresh_scl(c):
@@ -35,7 +35,7 @@ def report(number, ok, desc):
 
 
 def test_criterion_01_commutator_scl():
-    ok = scl(chain("[a,b]")) == qq(1, 2)
+    ok = scl(chain("[a,b]")) == QQ(1, 2)
     report(1, ok, "scl([a,b]) = 1/2")
 
 
@@ -49,7 +49,7 @@ def test_criterion_02_stabilized_commutator_scl():
 def test_criterion_03_pants_and_genus_one():
     pants = scl(chain("a + b + BA"))
     genus = scl(chain("c + CBAba"))
-    ok = pants == qq(1, 2) and genus == 1
+    ok = pants == QQ(1, 2) and genus == 1
     report(3, ok, "scl(a + b + BA) = 1/2 and scl(c + CBAba) = 1")
 
 
@@ -59,15 +59,15 @@ def test_criterion_04_rank_separated_sum():
 
 
 def test_criterion_05_three_generator_join():
-    ok = scl(chain("abABcabABC")) == qq(3, 2)
+    ok = scl(chain("abABcabABC")) == QQ(3, 2)
     report(5, ok, "scl(abABcabABC) = 3/2 in rank 3")
 
 
 def test_criterion_06_insertion_formula():
     lhs1, rhs1, eq1 = corollary_check(word("abAB"), 1)
     lhs2, rhs2, eq2 = corollary_check(word("abAB"), 2)
-    ok = eq1 and eq2 and (lhs1, rhs1) == (qq(3, 2), qq(3, 2)) \
-        and (lhs2, rhs2) == (qq(2), qq(2))
+    ok = eq1 and eq2 and (lhs1, rhs1) == (QQ(3, 2), QQ(3, 2)) \
+        and (lhs2, rhs2) == (QQ(2), QQ(2))
     report(6, ok, "insertion scl equals (|n + rot(w)| + 1)/2 for n = 1, 2")
 
 
@@ -137,7 +137,7 @@ def test_criterion_11_property_suites():
     # Bavard bound on every rank-2 corpus chain
     for expr, value in RANK2_CORPUS:
         c = parse_chain(expr).chain
-        if 2 * scl(c) < abs(qq(rot(c))):
+        if 2 * scl(c) < abs(rot(c)):
             failures.append("Bavard bound fails on %s" % expr)
 
     # rot integrality and defect <= 1 on >= 500 sampled pairs
@@ -165,7 +165,7 @@ def test_criterion_11_property_suites():
         if enc is None:
             continue
         cert = decode_certificate(enc, res)
-        if qq(-cert.chi, 2 * cert.degree) / enc.scale != value:
+        if QQ(-cert.chi, 2 * cert.degree) / enc.scale != value:
             failures.append("decoded chi wrong on %s" % expr)
         prepared, _ = prepare(c)
         if cert.boundary != canonicalize(scale_chain(prepared, cert.degree)):
@@ -176,13 +176,13 @@ def test_criterion_11_property_suites():
     for _ in range(20):
         c = random_trivial_chain(rng, max_letters=8)
         cert, _ = search_matching(c)
-        if qq(-cert.chi, 2 * cert.degree) < scl(c):
+        if QQ(-cert.chi, 2 * cert.degree) < scl(c):
             failures.append("matching bound below scl on a random chain")
             break
     for expr in ("abAB", "a + b + BA", "abABAbaB", "a + A"):
         c = parse_chain(expr).chain
         cert, _ = search_matching(c)
-        if qq(-cert.chi, 2 * cert.degree) != scl(c):
+        if QQ(-cert.chi, 2 * cert.degree) != scl(c):
             failures.append("matching bound not tight on %s" % expr)
 
     ok = not failures

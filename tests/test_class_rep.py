@@ -13,7 +13,7 @@ from sclkit.freegroup import (Chain, ChainTerm, Word, _least_rotation,
                               cyclic_core, invert, is_cyclically_reduced,
                               letter_key, make_word, word, word_key,
                               word_power)
-from sclkit.rational import qq
+from sclkit.rational import QQ
 
 
 def brute_least_rotation(keys):
@@ -153,7 +153,7 @@ def test_canonicalize_matches_oracle():
             assert canonicalize(raw) == oracle.canonicalize(raw) == c
     for _ in range(200):
         rank = rng.randint(1, 3)
-        pairs = [(qq(rng.randint(-3, 3), rng.randint(1, 3)),
+        pairs = [(QQ(rng.randint(-3, 3), rng.randint(1, 3)),
                   random_word(rng, rank, 12))
                  for _ in range(rng.randint(1, 6))]
         raw = chain_of(pairs, rank)
@@ -172,7 +172,7 @@ def test_long_canonicalize_invariant_under_rotation_and_inversion():
     rng = seeded(14)
     for _ in range(12):
         w = cyclic_word(rng, 2, rng.randint(500, 1000))
-        coeff = qq(rng.randint(1, 5), rng.randint(1, 3))
+        coeff = QQ(rng.randint(1, 5), rng.randint(1, 3))
         base = canonicalize(chain_of([(coeff, w)], 2))
         assert len(base.terms) == 1
         for _ in range(3):
@@ -189,4 +189,4 @@ def test_long_commutator_parse_equals_explicit_word():
         u, v = long_pair(rng)
         parsed = parse_chain("[%s,%s]" % (u, v)).chain
         explicit = concat(u, v, invert(u), invert(v))
-        assert parsed == canonicalize(Chain((ChainTerm(qq(1), explicit),), 2))
+        assert parsed == canonicalize(Chain((ChainTerm(QQ(1), explicit),), 2))

@@ -13,7 +13,7 @@ import sclkit.rotation
 import sclkit.sclenc
 import sclkit.surfcert
 from sclkit.cli import main
-from sclkit.rational import qq
+from sclkit.rational import QQ
 
 from conftest import child_env
 
@@ -90,12 +90,33 @@ def test_scan_range(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("n = 1: scl = 1/1")
     assert lines[-1] == "first equality at n = 1, persists through the range"
+    # argparse reads a bare -2..1 as an option, so the range is joined
+    # to its flag
+    code, out, _ = run(capsys, "scan", "--w", "abAB", "--n-range=-2..1")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "n = -2", "n = -1", "n = 0", "n = 1"]
+    assert lines[-1] == "first equality at n = -1, persists through the range"
 
 
 def test_scan_single_point(capsys):
     code, out, _ = run(capsys, "scan", "--w", "abABAbaB", "--n-range", "0")
     assert code == 0
     assert out.splitlines()[-1] == "no equality in range"
+
+
+def test_scan_equality_that_does_not_persist(capsys, monkeypatch):
+    # persistence along w (abAB)^n is only conjectured, so a break is a
+    # row of the table, not a fault
+    verdicts = iter([False, True, False])
+    monkeypatch.setattr(
+        sclkit.immersion, "bounds_immersed",
+        lambda chain, **limits: sclkit.immersion.CriterionReport(
+            chain, QQ(1, 2), QQ(1), next(verdicts)))
+    code, out, _ = run(capsys, "scan", "--w", "abAB", "--n-range", "0..2")
+    assert code == 0
+    assert out.splitlines()[-1] == "first equality at n = 1, does not persist"
 
 
 def test_corollary(capsys):
@@ -160,6 +181,16 @@ def test_certify_rejects_contradictory_degree(capsys, tmp_path):
     code, out, err = run(capsys, "certify", "--file", str(path))
     assert (code, out) == (2, "")
     assert err == "error: line 6: degree must be positive, got 0\n"
+
+
+def test_certify_rank_past_26(capsys, tmp_path):
+    # the declared rank is not spelled, only the letters are
+    path = tmp_path / "torus.cert"
+    path.write_text(TORUS_CERT.replace("rank 2", "rank 30") + "degree 1\n")
+    code, out, err = run(capsys, "certify", "--file", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["chi = -1, boundary = abAB",
+                                "ratio = 1/2, scl = 1/2, extremal = true"]
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -254,6 +285,9 @@ def test_exit_code_bad_range(capsys):
     code, _, err = run(capsys, "scan", "--w", "abAB", "--n-range", "5..1")
     assert code == 2
     assert "empty n range" in err
+    code, out, err = run(capsys, "scan", "--w", "abAB", "--n-range", "x")
+    assert (code, out) == (2, "")
+    assert err == "error: bad n range 'x' (use N or LO..HI)\n"
 
 
 def test_exit_code_missing_file(capsys):
@@ -266,6 +300,10 @@ def test_exit_code_not_boundary(capsys):
     code, _, err = run(capsys, "scl", "ab")
     assert code == 3
     assert "homologically trivial" in err
+    # the chain keeps the rank its letters give
+    code, out, err = run(capsys, "rot", "a")
+    assert (code, out) == (3, "")
+    assert err.endswith("exponent vector (1)\n")
 
 
 @pytest.mark.parametrize("subcommand", ["scl", "immersed"])
@@ -328,6 +366,11 @@ def test_exit_code_negative_cap(capsys, flag):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument %s: must be nonnegative, got -1" % flag in err
+    with pytest.raises(SystemExit) as exc:
+        main(["scl", "abAB", flag, "abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s: invalid int value: 'abc'" % flag in err
 
 
 def test_exit_code_invariant_violation(capsys, monkeypatch):
@@ -337,6 +380,16 @@ def test_exit_code_invariant_violation(capsys, monkeypatch):
     code, _, err = run(capsys, "rot", "abAB", "--method", "both")
     assert code == 5
     assert "disagrees" in err
+
+
+def test_exit_code_verify_rejects(capsys, monkeypatch):
+    # no scl is printed, or cached, unless verify accepts the solve
+    monkeypatch.setattr(sclkit.sclenc, "_scl_cache", OrderedDict())  # fresh
+    monkeypatch.setattr(sclkit.sclenc, "verify", lambda lp, result: False)
+    code, out, err = run(capsys, "scl", "abAB")
+    assert (code, out) == (5, "")
+    assert err == "error: LP duality certificate failed\n"
+    assert sclkit.sclenc._scl_cache == {}
 
 
 def test_exit_code_encoder_fault(capsys, monkeypatch):
@@ -357,7 +410,7 @@ def test_exit_code_persistence_guard(capsys, monkeypatch):
     monkeypatch.setattr(
         sclkit.immersion, "bounds_immersed",
         lambda chain, **limits: sclkit.immersion.CriterionReport(
-            chain, qq(1, 2), qq(1), next(verdicts)))
+            chain, QQ(1, 2), QQ(1), next(verdicts)))
     code, out, err = run(capsys, "stabilize", "abAB", "--max-R", "3")
     assert code == 5
     assert out == ""

@@ -6,12 +6,12 @@ from sclkit import immersion
 from sclkit.chainexpr import parse_chain, parse_word
 from sclkit.errors import (InvariantViolationError, NotBoundaryError,
                            RankMismatchError, ResourceLimitError)
-from sclkit.freegroup import (add_chains, canonicalize, chains_equal,
-                              invert_chain, prepare, single_chain, word)
+from sclkit.freegroup import (add_chains, canonicalize, prepare,
+                              scale_chain, single_chain, word)
 from sclkit.immersion import (BOUNDARY_CLASS, CriterionReport,
                               bounds_immersed, corollary_check,
                               minimal_stabilization, scan_conjecture)
-from sclkit.rational import qq
+from sclkit.rational import QQ
 from sclkit.sclenc import scl
 from sclkit.rotation import rot
 
@@ -63,10 +63,10 @@ def test_criterion_rank1_embeds():
 def test_criterion_is_signed():
     # the reversed orientation has rot = -1 and cannot satisfy equality
     c = parse_chain("abAB").chain
-    plus, minus = bounds_immersed(c), bounds_immersed(invert_chain(c))
+    plus, minus = bounds_immersed(c), bounds_immersed(scale_chain(c, -1))
     assert plus.bounds_immersed or minus.bounds_immersed
     assert not (plus.bounds_immersed and minus.bounds_immersed)
-    assert plus.scl == minus.scl == qq(1, 2)
+    assert plus.scl == minus.scl == QQ(1, 2)
     assert plus.rot == -minus.rot
 
 
@@ -82,16 +82,16 @@ def test_stabilization_of_torus_chain():
     assert report.minimal_r == 2
     assert len(report.table) == 5
     scls = [entry.scl for entry in report.table]
-    assert scls == [qq(1, 2), qq(2, 3), qq(1), qq(3, 2), qq(2)]
+    assert scls == [QQ(1, 2), QQ(2, 3), QQ(1), QQ(3, 2), QQ(2)]
     flags = [entry.bounds_immersed for entry in report.table]
     assert flags == [False, False, True, True, True]
-    assert chains_equal(report.boundary, parse_chain("abAB").chain)
+    assert canonicalize(report.boundary) == parse_chain("abAB").chain
 
 
 def test_stabilization_immediate():
     report = minimal_stabilization(parse_chain("abAB").chain, 2)
     assert report.minimal_r == 0
-    assert [e.scl for e in report.table] == [qq(1, 2), qq(1), qq(3, 2)]
+    assert [e.scl for e in report.table] == [QQ(1, 2), QQ(1), QQ(3, 2)]
 
 
 def test_stabilization_zero_base():
@@ -111,7 +111,7 @@ def test_stabilization_persistence_guard(monkeypatch):
     verdicts = iter([True, False])
     monkeypatch.setattr(
         immersion, "bounds_immersed",
-        lambda chain, **limits: CriterionReport(chain, qq(1, 2), qq(1),
+        lambda chain, **limits: CriterionReport(chain, QQ(1, 2), QQ(1),
                                                 next(verdicts)))
     with pytest.raises(InvariantViolationError,
                        match="equality at R = 0 did not persist at R = 1"):
@@ -129,7 +129,7 @@ def test_scan_families():
     assert report.persistent
     scls = [entry.scl for _, entry in report.entries]
     # w (abAB)^n = (abAB)^(n+1) canonically, so scl = (n+1)/2 and rot too
-    assert scls == [qq(1), qq(3, 2), qq(2), qq(5, 2)]
+    assert scls == [QQ(1), QQ(3, 2), QQ(2), QQ(5, 2)]
     assert all(entry.bounds_immersed for _, entry in report.entries)
 
 
@@ -137,7 +137,7 @@ def test_scan_records_single_point():
     # abABAbaB alone misses the equality (scl 1/2, rot 0) but one factor
     # of the boundary class already restores it
     report = scan_conjecture(word("abABAbaB"), [1])
-    assert report.entries[0][1].scl == qq(1, 2)
+    assert report.entries[0][1].scl == QQ(1, 2)
     assert report.entries[0][1].rot == 1
     assert report.first_equality == 1
     assert report.persistent
@@ -160,9 +160,9 @@ def test_scan_rejects_bad_words():
 
 def test_corollary_small_cases():
     lhs, rhs, equal = corollary_check(word("abAB"), 1)
-    assert (lhs, rhs, equal) == (qq(3, 2), qq(3, 2), True)
+    assert (lhs, rhs, equal) == (QQ(3, 2), QQ(3, 2), True)
     lhs, rhs, equal = corollary_check(word("abAB"), 2)
-    assert (lhs, rhs, equal) == (qq(2), qq(2), True)
+    assert (lhs, rhs, equal) == (QQ(2), QQ(2), True)
 
 
 def test_corollary_matches_joined_word():
@@ -193,7 +193,7 @@ def test_corollary_letter_count_is_exact(monkeypatch):
     # the early check refuses exactly what build_lp would
     solved = []
     monkeypatch.setattr(immersion.sclenc, "scl",
-                        lambda chain, **limits: solved.append(chain) or qq(0))
+                        lambda chain, **limits: solved.append(chain) or QQ(0))
     for text in COMMUTATOR_WORDS:
         w = word(text)
         for n in (-3, -1, 1, 2):
@@ -212,4 +212,4 @@ def test_criterion_closed_under_addition():
     total = add_chains(*true_chains)
     rep = bounds_immersed(total)
     assert rep.bounds_immersed
-    assert rep.scl == qq(3, 2)
+    assert rep.scl == QQ(3, 2)

@@ -6,6 +6,7 @@ import importlib
 import pathlib
 import subprocess
 import sys
+import types
 
 import sclkit
 
@@ -175,16 +176,84 @@ def test_traced_functions_exist():
     assert missing == [], "perfbench traces missing functions %s" % missing
 
 
+_MISSING = object()
+
+
+def sclkit_name(module, name):
+    """The submodule or attribute `name` of sclkit module `module`, or
+    _MISSING."""
+    try:
+        return importlib.import_module("%s.%s" % (module, name))
+    except ModuleNotFoundError:
+        return getattr(importlib.import_module(module), name, _MISSING)
+
+
+def perfbench_reads():
+    """(module, name, where) for each name that perfbench/*.py imports from
+    a sclkit module or reads off one as an attribute, with "file:line";
+    the files are parsed, not imported.  A module is read directly
+    (sclenc.prepare), down a package path (sclkit.rational.QQ) or off an
+    attribute that holds it (self.sclenc.build_lp)."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    reads = []
+    for path in sorted((root / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {}  # local name -> sclkit module name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(
+                    a.name.split(".")[0] == "sclkit" and a.asname is None
+                    for a in node.names):
+                bound["sclkit"] = "sclkit"
+            elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                  and (node.module or "").split(".")[0] == "sclkit"):
+                for a in node.names:
+                    reads.append((node.module, a.name,
+                                  "%s:%d" % (path.name, node.lineno)))
+                    if isinstance(sclkit_name(node.module, a.name),
+                                  types.ModuleType):
+                        bound[a.asname or a.name] = "%s.%s" % (node.module,
+                                                               a.name)
+
+        def module_of(expr):
+            if isinstance(expr, ast.Name):
+                return bound.get(expr.id)
+            if not isinstance(expr, ast.Attribute):
+                return None
+            outer = module_of(expr.value)
+            if outer is None:
+                return bound.get(expr.attr)
+            inner = sclkit_name(outer, expr.attr)
+            return inner.__name__ if isinstance(
+                inner, types.ModuleType) else None
+
+        reads += [(module_of(node.value), node.attr,
+                   "%s:%d" % (path.name, node.lineno))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and module_of(node.value) is not None]
+    return reads
+
+
+def test_perfbench_names_exist():
+    # the benchmark imports these names, or reads them off sclkit modules,
+    # from the checkout it measures; a deleted or renamed one fails here
+    # rather than in a benchmark run
+    reads = perfbench_reads()
+    names = {(module, name) for module, name, _ in reads}
+    assert {("sclkit.cli", "main"), ("sclkit.freegroup", "make_word"),
+            ("sclkit.rational", "QQ"), ("sclkit.sclenc", "prepare"),
+            ("sclkit.sclenc", "_scl_cache")} <= names
+    missing = ["%s.%s (%s)" % read for read in reads
+               if sclkit_name(read[0], read[1]) is _MISSING]
+    assert missing == [], "perfbench reads missing names %s" % missing
+
+
 def test_no_dead_public_functions():
-    # a public module-level function is used in the package, exported by
-    # sclkit/__init__.py, or traced by perfbench; the one exception is
-    # ratlp.linear_program, the constructor for LPs built from outside input
+    # a public module-level function is used in the package or traced by
+    # perfbench; an export from sclkit/__init__.py or a use in the tests
+    # does not count
     modules = parsed_modules()
-    exported = {(node.module, alias.name)
-                for node in modules["__init__"].body
-                if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
-    kept = exported | set(traced_functions()) | {("ratlp", "linear_program")}
+    kept = set(traced_functions())
     # the names each top-level statement reads, keyed by (module, function)
     # for a function definition, so a function's own body does not count
     reads = {}

@@ -4,11 +4,11 @@ import pytest
 
 from sclkit import ratlp
 from sclkit.errors import ResourceLimitError
-from sclkit.ratlp import LPResult, LinearProgram, linear_program, solve_min, verify
-from sclkit.rational import qq
+from sclkit.ratlp import LPResult, LinearProgram, solve_min, verify
+from sclkit.rational import QQ
 
 import fraction_simplex
-from conftest import seeded
+from conftest import linear_program, seeded
 
 
 def simplex_pair():
@@ -30,7 +30,7 @@ def test_minimize_negative_coordinate():
     res = solve_min(lp)
     assert res.status == "optimal"
     assert res.value == -1
-    assert res.primal == (qq(1), qq(0))
+    assert res.primal == (QQ(1), QQ(0))
     assert verify(lp, res)
 
 
@@ -52,12 +52,12 @@ def test_unbounded():
 
 def test_rational_data():
     # min x1/3 + x2  s.t.  x1/2 + x2 = 3/4, answer at x1 = 3/2
-    lp = linear_program(2, [[(0, qq(1, 2)), (1, 1)]], [qq(3, 4)],
-                        [qq(1, 3), 1])
+    lp = linear_program(2, [[(0, QQ(1, 2)), (1, 1)]], [QQ(3, 4)],
+                        [QQ(1, 3), 1])
     res = solve_min(lp)
     assert res.status == "optimal"
-    assert res.value == qq(1, 2)
-    assert res.primal == (qq(3, 2), qq(0))
+    assert res.value == QQ(1, 2)
+    assert res.primal == (QQ(3, 2), QQ(0))
     assert verify(lp, res)
 
 
@@ -73,7 +73,7 @@ def test_redundant_row_handled():
 def test_verify_rejects_perturbations():
     lp = simplex_pair()
     res = solve_min(lp)
-    tweaked = LPResult(res.status, res.value + qq(1, 7), res.primal,
+    tweaked = LPResult(res.status, res.value + QQ(1, 7), res.primal,
                        res.dual, res.pivots)
     assert not verify(lp, tweaked)
     shifted = LPResult(res.status, res.value,
@@ -89,14 +89,14 @@ def test_verify_rejects_dual_off_by_one_over_n():
     # min x1/3 + 2x2/5 + x3  s.t.  x1/2 + x2 = 3/4,  x2/3 + x3 = 1/7 has
     # the optimum 27/70 at (9/14, 3/7, 0) with duals (2/3, -4/5); no rhs
     # is zero, so moving either dual by 1/N moves b.y off the optimum
-    lp = linear_program(3, [[(0, qq(1, 2)), (1, 1)], [(1, qq(1, 3)), (2, 1)]],
-                        [qq(3, 4), qq(1, 7)], [qq(1, 3), qq(2, 5), 1])
+    lp = linear_program(3, [[(0, QQ(1, 2)), (1, 1)], [(1, QQ(1, 3)), (2, 1)]],
+                        [QQ(3, 4), QQ(1, 7)], [QQ(1, 3), QQ(2, 5), 1])
     res = solve_min(lp)
     assert verify(lp, res)
     assert all(v.denominator > 1 for v in res.dual + (res.value,))
     for n in (1, 2, 3, 7, 10 ** 6, 10 ** 40):
         for i in range(lp.num_rows):
-            for delta in (qq(1, n), -qq(1, n)):
+            for delta in (QQ(1, n), -QQ(1, n)):
                 dual = list(res.dual)
                 dual[i] += delta
                 claim = LPResult(res.status, res.value, res.primal,
@@ -106,7 +106,7 @@ def test_verify_rejects_dual_off_by_one_over_n():
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        LinearProgram(2, ((((0, qq(1)), (0, qq(1))),)), (qq(1),), (qq(1), qq(1)))
+        LinearProgram(2, ((((0, QQ(1)), (0, QQ(1))),)), (QQ(1),), (QQ(1), QQ(1)))
     with pytest.raises(ValueError):
         linear_program(1, [[(0, 1)]], [1, 2], [1])
     with pytest.raises(ValueError):
@@ -114,7 +114,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         linear_program(2, [[(0, 0)]], [1], [1, 1])
     with pytest.raises(ValueError, match="nonzero"):
-        LinearProgram(2, (((0, 0),),), (qq(1),), (qq(1), qq(1)))
+        LinearProgram(2, (((0, 0),),), (QQ(1),), (QQ(1), QQ(1)))
 
 
 def test_pivot_cap():
@@ -180,17 +180,17 @@ def test_start_pivot_on_negative_entry():
 def random_feasible_lp(rng, n=5, m=3):
     """Random equalities with a known nonnegative solution, so the program
     is feasible (possibly unbounded below is avoided by nonnegative cost)."""
-    target = [qq(rng.randint(0, 4)) for _ in range(n)]
+    target = [QQ(rng.randint(0, 4)) for _ in range(n)]
     rows = []
     rhs = []
     for _ in range(m):
-        row = [(j, qq(rng.randint(-3, 3))) for j in range(n)]
+        row = [(j, QQ(rng.randint(-3, 3))) for j in range(n)]
         row = [(j, v) for j, v in row if v != 0]
         if not row:
-            row = [(0, qq(1))]
+            row = [(0, QQ(1))]
         rows.append(row)
         rhs.append(sum(v * target[j] for j, v in row))
-    cost = [qq(rng.randint(0, 5)) for _ in range(n)]
+    cost = [QQ(rng.randint(0, 5)) for _ in range(n)]
     return linear_program(n, rows, rhs, cost)
 
 
@@ -211,7 +211,7 @@ def test_rhs_scaling():
     for _ in range(20):
         lp = random_feasible_lp(rng)
         res = solve_min(lp)
-        for k in (qq(2), qq(1, 3), qq(7, 5)):
+        for k in (QQ(2), QQ(1, 3), QQ(7, 5)):
             scaled = LinearProgram(lp.num_vars, lp.rows,
                                    tuple(k * b for b in lp.rhs), lp.objective)
             sres = solve_min(scaled)

@@ -19,13 +19,14 @@ import pytest
 from sclkit import ratlp, sclenc
 from sclkit.errors import ResourceLimitError
 from sclkit.freegroup import canonicalize
-from sclkit.rational import qq
-from sclkit.ratlp import LinearProgram, LPResult, linear_program, solve_min
+from sclkit.rational import QQ
+from sclkit.ratlp import LinearProgram, LPResult, solve_min
 
 import fraction_simplex
-from conftest import SCL_CORPUS, chain, random_trivial_chain, seeded
+from conftest import (SCL_CORPUS, chain, linear_program, random_trivial_chain,
+                      seeded)
 
-ENTRIES = (1, 1, 2, 3, -1, -1, -2, qq(1, 2), qq(-3, 2), qq(2, 3), qq(-5, 7))
+ENTRIES = (1, 1, 2, 3, -1, -1, -2, QQ(1, 2), QQ(-3, 2), QQ(2, 3), QQ(-5, 7))
 
 
 def outcome(solver, lp, max_pivots):
@@ -47,19 +48,19 @@ def random_lp(rng):
     rows, rhs = [], []
     for _ in range(m):
         if rows and rng.random() < 0.25:
-            k = rng.choice((1, 1, 2, -1, qq(1, 3)))
+            k = rng.choice((1, 1, 2, -1, QQ(1, 3)))
             j = rng.randrange(len(rows))
             rows.append([(c, k * v) for c, v in rows[j]])
             rhs.append(k * rhs[j] if rng.random() < 0.7
-                       else rng.choice((0, 1, -2, qq(5, 3))))
+                       else rng.choice((0, 1, -2, QQ(5, 3))))
             continue
         row = [(c, rng.choice(ENTRIES)) for c in range(n)
                if rng.random() < 0.6]
         if not row:
             row = [(rng.randrange(n), rng.choice(ENTRIES))]
         rows.append(row)
-        rhs.append(rng.choice((0, 0, 1, 2, 3, -1, -2, qq(1, 2), qq(-7, 3))))
-    objective = [rng.choice((0, 1, 2, -1, qq(1, 2), qq(-1, 3)))
+        rhs.append(rng.choice((0, 0, 1, 2, 3, -1, -2, QQ(1, 2), QQ(-7, 3))))
+    objective = [rng.choice((0, 1, 2, -1, QQ(1, 2), QQ(-1, 3)))
                  for _ in range(n)]
     return linear_program(n, rows, rhs, objective)
 
@@ -220,7 +221,7 @@ def test_solve_chain_optimum_and_certificate():
             want = fraction_simplex.solve_min(enc.lp)
         assert got.value == want.value, c
         cert = sclenc.decode_certificate(enc, got)
-        assert qq(-cert.chi, 2 * cert.degree) == got.value / enc.scale / 2
+        assert QQ(-cert.chi, 2 * cert.degree) == got.value / enc.scale / 2
         sclenc._scl_cache.clear()
         with pytest.raises(ResourceLimitError):
             sclenc.solve_chain(c, max_pivots=got.pivots - 1)
@@ -230,7 +231,7 @@ def perturbed_claims(rng, res):
     """The optimum itself, then claims with one entry moved by +-1/N."""
     yield res
     for _ in range(6):
-        delta = rng.choice((1, -1)) * qq(1, rng.choice((1, 2, 3, 7, 10 ** 9)))
+        delta = rng.choice((1, -1)) * QQ(1, rng.choice((1, 2, 3, 7, 10 ** 9)))
         which = rng.randrange(3)
         x, y, value = list(res.primal), list(res.dual), res.value
         if which == 0:

@@ -9,7 +9,7 @@ from sclkit.errors import (InvariantViolationError, NotBoundaryError,
                            RankMismatchError)
 from sclkit.freegroup import (chain_of, concat, cyclic_core, invert,
                               make_word, word, word_exponents, word_power)
-from sclkit.rational import qq
+from sclkit.rational import QQ
 from sclkit.rotation import (punctured_torus_rep, rot, rot_element,
                              turning_number, turning_number_chain)
 
@@ -108,7 +108,7 @@ def test_rot_integrality_on_elements():
 def test_rot_homogeneity():
     r = rep()
     for text in ("abAB", "ab", "a", "aabAB"):
-        w = parse_word(text, min_rank=2)
+        w = parse_word(text)
         base = rot_element(r, w)
         for n in range(1, 5):
             assert rot_element(r, word_power(w, n)) == n * base
@@ -133,7 +133,7 @@ def test_defect_probe():
 
 def test_rot_chain_is_rational_type():
     value = rot(parse_chain("1/2*abAB").chain)
-    assert value == qq(1, 2)
+    assert value == QQ(1, 2)
 
 
 def test_area_coefficient():

@@ -8,14 +8,14 @@ from collections import OrderedDict
 
 import pytest
 
-from sclkit import sclenc
+from sclkit import sclenc, surfcert
 from sclkit.chainexpr import parse_chain
 from sclkit.errors import (InvariantViolationError, NotBoundaryError,
                            ResourceLimitError)
 from sclkit.freegroup import (canonicalize, chain_of, invert, scale_chain,
                               single_chain, word)
-from sclkit.rational import qq
-from sclkit.ratlp import verify
+from sclkit.rational import QQ
+from sclkit.ratlp import LPResult, solve_min, verify
 from sclkit.sclenc import (build_lp, decode_certificate, enumerate_pieces,
                            enumerate_rectangles, prepare, scl, solve_chain)
 
@@ -100,10 +100,10 @@ def test_build_lp_objective_and_rows():
     nrect = len(enc.rectangles)
     assert enc.lp.num_vars == nrect + len(enc.pieces)
     # rectangle columns cost 1; a piece costs dummies/2 - 1
-    assert enc.lp.objective[:nrect] == (qq(1),) * nrect
+    assert enc.lp.objective[:nrect] == (QQ(1),) * nrect
     for k, p in enumerate(enc.pieces):
         dummies = sum(1 for s in p if s[0] == 1)
-        assert enc.lp.objective[nrect + k] == qq(dummies, 2) - 1
+        assert enc.lp.objective[nrect + k] == QQ(dummies, 2) - 1
     kinds = [meta[0] for meta in enc.row_meta]
     assert kinds.count("cover") == 4
     assert kinds.count("side") == 2 * nrect
@@ -188,12 +188,12 @@ def test_scl_rank_separability():
 
 
 def test_scl_stabilized_chain():
-    assert scl(parse_chain("abAB + ab - a - b").chain) == qq(2, 3)
+    assert scl(parse_chain("abAB + ab - a - b").chain) == QQ(2, 3)
 
 
 def test_scl_respects_scale():
     c = parse_chain("1/2*[a,b]").chain
-    assert scl(c) == qq(1, 4)
+    assert scl(c) == QQ(1, 4)
 
 
 def test_scl_invariances():
@@ -202,8 +202,7 @@ def test_scl_invariances():
     # conjugation-invariant, inversion-invariant
     conj = parse_chain("2*b[a,b]B + ab - a - b").chain
     assert scl(conj) == 1
-    from sclkit.freegroup import invert_chain
-    assert scl(invert_chain(base)) == 1
+    assert scl(scale_chain(base, -1)) == 1
 
 
 def test_scl_not_boundary():
@@ -236,7 +235,7 @@ def test_scl_cache_hits():
     c = parse_chain("abABAbaB").chain
     first = scl(c)
     second = scl(c)
-    assert first == second == qq(1, 2)
+    assert first == second == QQ(1, 2)
 
 
 def test_scl_cache_keeps_caps(empty_cache):
@@ -245,7 +244,7 @@ def test_scl_cache_keeps_caps(empty_cache):
     pivots = solve_chain(c)[1].pivots
     for hit in (False, True):
         if hit:
-            assert scl(c) == qq(1, 2)
+            assert scl(c) == QQ(1, 2)
         else:
             empty_cache.clear()
         for caps in ({"max_pivots": 3}, {"max_letters": 4},
@@ -253,7 +252,7 @@ def test_scl_cache_keeps_caps(empty_cache):
             with pytest.raises(ResourceLimitError):
                 scl(c, **caps)
         assert len(empty_cache) == hit
-    assert scl(c, max_letters=8, max_pivots=pivots) == qq(1, 2)
+    assert scl(c, max_letters=8, max_pivots=pivots) == QQ(1, 2)
 
 
 def ray(expr):
@@ -261,7 +260,7 @@ def ray(expr):
     coefficients."""
     prepared, _ = prepare(canonicalize(chain(expr)))
     g = math.gcd(*(t.coefficient.numerator for t in prepared.terms))
-    return scale_chain(prepared, qq(1, g))
+    return scale_chain(prepared, QQ(1, g))
 
 
 def test_scl_cache_is_bounded(monkeypatch):
@@ -291,13 +290,58 @@ def no_solve(monkeypatch):
     monkeypatch.setattr(sclenc, "verify", fail)
 
 
+def _negated(lp, **kwargs):
+    result = solve_min(lp, **kwargs)
+    return result._replace(value=-result.value)
+
+
+@pytest.mark.parametrize("solver, verifier, message", [
+    (lambda lp, **kwargs: LPResult("infeasible", None, None, None, 0),
+     verify, "scl encoding must be feasible and bounded, got infeasible"),
+    (solve_min, lambda lp, result: False, "LP duality certificate failed"),
+    (_negated, lambda lp, result: True,
+     "scl encoding produced a negative optimum")])
+def test_solve_chain_guards(empty_cache, monkeypatch, solver, verifier,
+                            message):
+    # no scl is reported, or cached, unless the solve is optimal, verify
+    # accepts it and the optimum is nonnegative
+    monkeypatch.setattr(sclenc, "solve_min", solver)
+    monkeypatch.setattr(sclenc, "verify", verifier)
+    with pytest.raises(InvariantViolationError, match=message):
+        scl(chain("abAB"))
+    assert empty_cache == {}
+
+
+def test_decode_certificate_cross_checks(monkeypatch):
+    # the decoded surface is recounted two ways and traced back to the
+    # chain; each disagreement is a fault
+    enc, res = solve_chain(chain("abAB"))
+    with pytest.raises(InvariantViolationError,
+                       match="chi does not match the LP optimum"):
+        decode_certificate(enc, res._replace(value=2 * res.value))
+    count = surfcert.euler_characteristic
+    monkeypatch.setattr(surfcert, "euler_characteristic",
+                        lambda m: count(m) + 1)
+    with pytest.raises(InvariantViolationError,
+                       match="band surface chi 0 disagrees with formula "
+                             "chi -1"):
+        decode_certificate(enc, res)
+    monkeypatch.setattr(surfcert, "euler_characteristic", count)
+    monkeypatch.setattr(surfcert, "boundary_chain",
+                        lambda system: scale_chain(chain("abAB"), 2))
+    with pytest.raises(InvariantViolationError,
+                       match="decoded boundary does not match 1 times the "
+                             "encoded chain"):
+        decode_certificate(enc, res)
+
+
 def test_ray_cache_hit_equals_fresh_solve(empty_cache):
     rng = seeded(4242)
     cases = [chain(expr) for expr, value in SCL_CORPUS if value]
     cases += [random_trivial_chain(rng, rank=rng.choice((2, 3)),
                                    max_letters=8) for _ in range(24)]
     for c in cases:
-        for k in (qq(2), qq(3, 2), qq(1, 3)):
+        for k in (QQ(2), QQ(3, 2), QQ(1, 3)):
             empty_cache.clear()
             _, fresh = solve_chain(scale_chain(c, k))
             empty_cache.clear()
@@ -307,7 +351,7 @@ def test_ray_cache_hit_equals_fresh_solve(empty_cache):
             assert hit == fresh, (c, k)
             assert verify(enc.lp, hit)
             cert = decode_certificate(enc, hit)
-            assert qq(-cert.chi, 2 * cert.degree) / enc.scale == \
+            assert QQ(-cert.chi, 2 * cert.degree) / enc.scale == \
                 k * scl(c), (c, k)
 
 
@@ -332,7 +376,7 @@ def test_scl_reads_the_ray_cache(empty_cache, monkeypatch):
     assert scl(c) == 1
     no_solve(monkeypatch)
     assert scl(scale_chain(c, 2)) == 2
-    assert scl(scale_chain(c, qq(1, 3))) == qq(1, 3)
+    assert scl(scale_chain(c, QQ(1, 3))) == QQ(1, 3)
     assert len(empty_cache) == 1
 
 
@@ -373,7 +417,7 @@ def test_decode_certificate_corpus_soundness():
         if value is None:
             value = res.value / (2 * enc.scale)
         cert = decode_certificate(enc, res)
-        assert qq(-cert.chi, 2 * cert.degree) / enc.scale == value, c
+        assert QQ(-cert.chi, 2 * cert.degree) / enc.scale == value, c
         prepared, _ = prepare(canonicalize(c))
         want = canonicalize(scale_chain(prepared, cert.degree))
         assert cert.boundary == want, c
@@ -391,7 +435,7 @@ def test_decode_certificate_rejects_tampered_result():
     col = next(col for col, p in enumerate(enc.pieces, nrect)
                if [d[1] == d[2] for d in p if d[0]] == [True])
     primal = list(res.primal)
-    primal[col] = qq(1)
+    primal[col] = QQ(1)
     with pytest.raises(InvariantViolationError, match="loop dummy"):
         decode_certificate(enc, res._replace(primal=tuple(primal)))
     # one more copy of a piece whose only dummy side is the greater of

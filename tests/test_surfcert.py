@@ -8,20 +8,18 @@ import pytest
 
 from sclkit.chainexpr import parse_chain
 from sclkit.cli import main
-from sclkit.errors import InvariantViolationError, ResourceLimitError
-from sclkit.freegroup import (canonicalize, chains_equal, prepare,
-                              scale_chain, word)
-from sclkit.rational import fmt, qq
+from sclkit.errors import ResourceLimitError
+from sclkit.freegroup import canonicalize, prepare, scale_chain
+from sclkit.rational import QQ, fmt
 from sclkit.sclenc import scl
-from sclkit.surfcert import (ArcSystem, Matching, SurfaceCertificate,
-                             arc_system, boundary_chain,
+from sclkit.surfcert import (ArcSystem, boundary_chain,
                              certificate_from_matching, euler_characteristic,
                              extremality_ratio, matching, read_certificate,
                              search_matching, search_matching_arcs,
                              write_certificate)
 
 import matching_oracle
-from conftest import chain, random_trivial_chain, seeded
+from conftest import arc_system, chain, random_trivial_chain, seeded
 
 PINS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
 
@@ -119,7 +117,7 @@ def test_boundary_chain():
     got = boundary_chain(system)
     want = canonicalize(scale_chain(
         parse_chain("2*abAB + a + b - ab").chain, 2))
-    assert chains_equal(got, want)
+    assert canonicalize(got) == canonicalize(want)
     assert boundary_chain(arc_system(["a", "A"])).terms == ()
 
 
@@ -127,13 +125,13 @@ def test_certificate_from_matching():
     cert = certificate_from_matching(punctured_torus_matching())
     assert cert.chi == -1
     assert cert.degree == 1
-    assert chains_equal(cert.boundary, parse_chain("abAB").chain)
+    assert canonicalize(cert.boundary) == parse_chain("abAB").chain
 
 
 def test_extremality_ratio_direct():
     cert = certificate_from_matching(punctured_torus_matching())
     target = parse_chain("abAB").chain
-    assert extremality_ratio(cert, target) == qq(1, 2)
+    assert extremality_ratio(cert, target) == QQ(1, 2)
     # the certificate is extremal: the bound it gives equals scl
     assert extremality_ratio(cert, target) == scl(target)
 
@@ -143,7 +141,7 @@ def test_extremality_ratio_multiplicity():
     chi, m = search_matching_arcs(system)
     cert = certificate_from_matching(m)
     assert extremality_ratio(cert, parse_chain("abAB").chain) \
-        == qq(-chi, 4)
+        == QQ(-chi, 4)
 
 
 def test_extremality_ratio_rejects_foreign_chain():
@@ -171,7 +169,7 @@ def test_search_matching_equalities():
     for expr in ("abAB", "a + b + BA", "abABAbaB", "a + A"):
         c = parse_chain(expr).chain
         cert, m = search_matching(c)
-        bound = qq(-cert.chi, 2 * cert.degree)
+        bound = QQ(-cert.chi, 2 * cert.degree)
         assert bound == scl(c), expr
 
 
@@ -187,7 +185,7 @@ def test_search_matching_degree(capsys):
     cert, m = search_matching(c, n=2)
     assert cert.degree == 2
     assert len(m.system.cycles) == 2
-    assert chains_equal(cert.boundary, scale_chain(c, 2))
+    assert canonicalize(cert.boundary) == canonicalize(scale_chain(c, 2))
     # -chi / (2 * degree * scale) read off the certificate is the bound
     # that matchbound prints for the same chain and degree
     for expr, n in itertools.product(
@@ -198,7 +196,7 @@ def test_search_matching_degree(capsys):
         assert cert.degree == n
         assert main(["matchbound", expr, "--degree", str(n), "--json"]) == 0
         record = json.loads(capsys.readouterr().out)["record"]
-        bound = qq(-cert.chi, 2 * cert.degree * scale)
+        bound = QQ(-cert.chi, 2 * cert.degree * scale)
         assert record["bound"] == fmt(bound), expr
 
 
@@ -210,13 +208,20 @@ def test_search_matching_rejects_nonpositive_degree():
             search_matching(c, n=n)
 
 
+def test_search_matching_arcs_rejects_unpaired_letters():
+    # two a's against one A: no perfect pairing into bands exists
+    for cycles in (["aab", "AB"], ["ab"]):
+        with pytest.raises(ValueError, match="letters do not pair up"):
+            search_matching_arcs(arc_system(cycles))
+
+
 def test_search_matching_bounds_scl():
     rng = seeded(808)
     checked = 0
     while checked < 25:
         c = random_trivial_chain(rng, max_letters=8)
         cert, m = search_matching(c)
-        bound = qq(-cert.chi, 2 * cert.degree)
+        bound = QQ(-cert.chi, 2 * cert.degree)
         assert bound >= scl(c)
         checked += 1
 
@@ -330,7 +335,7 @@ def test_certificate_file_roundtrip(tmp_path):
     again, chain2, degree2 = read_certificate(text)
     assert again.pairs == m.pairs
     assert again.system == m.system
-    assert chains_equal(chain2, chain_ctx)
+    assert canonicalize(chain2) == canonicalize(chain_ctx)
     assert degree2 == 1
     # serialization is bit-stable
     assert write_certificate(again, chain=chain2, degree=degree2) == text
@@ -361,6 +366,10 @@ def test_read_certificate_errors():
         read_certificate("rank 2\ncycle 1: a\n")
     with pytest.raises(ValueError):
         read_certificate("rank 2\ncycle 0: abAB\npair 0.0 0.1\n")
+    with pytest.raises(ValueError, match="^line 3: pair needs two arcs$"):
+        read_certificate("rank 2\ncycle 0: abAB\npair 0.0\n")
+    with pytest.raises(ValueError, match=r"^unknown arc \(5, 0\)$"):
+        read_certificate("rank 2\ncycle 0: abAB\npair 0.0 5.0\n")
     with pytest.raises(ValueError,
                        match="^line 2: rank must be nonnegative, got -5$"):
         read_certificate("# no cycles\nrank -5\n")
